@@ -6,9 +6,18 @@ with nu the cycle count. alpha = -1 gives the determinant, alpha = +1 the
 permanent; kdet is the specialization alpha = -1/k. alpha may be an exact
 rational or a Poly (e.g. rings.ALPHA); entries may be rationals or Polys.
 
-Two independent evaluators ship: the defining sum and a Laplace expansion
-that removes one column and substitutes rows. Their agreement for every
-expansion column is part of the test suite.
+Three evaluators ship:
+
+- adet_dp, the production route for rational matrices: a sum over cycle
+  covers (a permutation is a set partition of [n] with one cyclic order on
+  each block), in O(3^n n) ring operations.
+- adet_sum, the defining sum over all n! permutations. It is an oracle, and
+  the route adet takes for matrices with Poly entries up to n = 8.
+- adet_laplace, a one-column expansion that removes a column and substitutes
+  rows. It is an oracle independent of both, and adet's route for matrices
+  with Poly entries above n = 8.
+
+Their agreement is part of the test suite.
 """
 
 from __future__ import annotations
@@ -39,10 +48,21 @@ def _require_square(A):
 
 
 def adet(A, alpha, method="auto", *, cap=None):
-    """The alpha-determinant of a square matrix, exactly."""
+    """The alpha-determinant of a square matrix, exactly.
+
+    method "auto" takes the cycle-cover DP for rational matrices at any n
+    (subject to cap), and for matrices with Poly entries the defining sum up
+    to n = 8 and the Laplace expansion above. "dp", "sum" and "laplace" force
+    one evaluator.
+    """
     n = _require_square(A)
     if method == "auto":
-        method = "sum" if n <= 8 else "laplace"
+        if A.is_rational():
+            method = "dp"
+        else:
+            method = "sum" if n <= 8 else "laplace"
+    if method == "dp":
+        return adet_dp(A, alpha, cap=cap)
     if method == "sum":
         return adet_sum(A, alpha, cap=cap)
     if method == "laplace":
@@ -63,9 +83,9 @@ def adet_sum(A, alpha, *, cap=None):
     return _adet_sum_ring(A, alpha, n)
 
 
-def _adet_sum_rational(A, alpha, n):
-    # clear denominators column by column (adet is multilinear in columns),
-    # run the integer kernel grouped by cycle count, then divide once
+def _integer_rows(A, n):
+    # clear denominators column by column (adet is multilinear in columns);
+    # returns the integer rows and the product of the column scales
     scale = 1
     cols = []
     for j in range(n):
@@ -73,13 +93,22 @@ def _adet_sum_rational(A, alpha, n):
         d = lcm(*(c.denominator for c in col))
         scale *= d
         cols.append([int(c * d) for c in col])
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    sums = nu_grouped_products(rows, n)
+    return [[cols[j][i] for j in range(n)] for i in range(n)], scale
+
+
+def _collect(sums, alpha, n):
+    # sum over nu of sums[nu] * alpha^(n - nu)
     total = 0
     for nu, s in enumerate(sums):
         if s:
             total = total + s * alpha ** (n - nu)
-    return total * Fraction(1, scale)
+    return total
+
+
+def _adet_sum_rational(A, alpha, n):
+    # run the integer kernel grouped by cycle count, then divide once
+    rows, scale = _integer_rows(A, n)
+    return _collect(nu_grouped_products(rows, n), alpha, n) * Fraction(1, scale)
 
 
 def _adet_sum_ring(A, alpha, n):
@@ -115,6 +144,96 @@ def _adet_sum_ring(A, alpha, n):
 
     rec(0, Poly.const(1), 0)
     return total
+
+
+def adet_dp(A, alpha, *, cap=None):
+    """adet as a sum over cycle covers, in O(3^n n) ring operations.
+
+    Rational matrices are scaled to integers column by column, as in the
+    defining sum; Poly entries go through the same DP unscaled. The degree
+    cap is the one adet_sum enforces.
+    """
+    n = _require_square(A)
+    cap = config.FACTORIAL_CAP if cap is None else cap
+    if n > cap:
+        raise CapExceededError("adet degree", n, cap)
+    if n == 0:
+        return Fraction(1)
+    if A.is_rational():
+        rows, scale = _integer_rows(A, n)
+        return _collect(_cycle_cover_sums(rows, n), alpha, n) * Fraction(1, scale)
+    return Poly.const(0) + _collect(_cycle_cover_sums(A.rows, n), alpha, n)
+
+
+def _cycle_cover_sums(rows, n):
+    """sums[c] = sum over n-permutations w with c cycles of prod_i rows[w(i)][i].
+
+    The contract of _kernels.nu_grouped_products, without enumerating S_n.
+    A permutation is a set partition of [n] with a cyclic order on each
+    block, so with cyc[B] the summed weight of the cyclic permutations of the
+    block B (bitmask), sums[c] is the sum over partitions of [n] into c
+    blocks of the product of cyc over the blocks.
+
+    cyc comes from a Held-Karp path DP rooted at min(B), where the step
+    i -> w(i) weighs rows[w(i)][i], in O(2^n n^2). The partition sum is a
+    subset convolution graded by block count, in O(3^n n): the block holding
+    min(S) is split off first, so each partition is counted once.
+    """
+    if n == 0:
+        return [1]
+    size = 1 << n
+    cyc = [0] * size
+    for r in range(n):
+        rbit = 1 << r
+        higher = [(w, 1 << w) for w in range(r + 1, n)]
+        back = rows[r]
+        # paths[S][v]: weight of the paths r -> ... -> v visiting exactly S
+        paths = {rbit: {r: 1}}
+        for t in range(1 << (n - 1 - r)):
+            S = (t << (r + 1)) | rbit
+            ends = paths.pop(S, None)
+            if ends is None:
+                continue
+            closed = 0
+            for v, x in ends.items():
+                e = back[v]
+                if e:
+                    closed += x * e
+                for w, wbit in higher:
+                    if S & wbit:
+                        continue
+                    e = rows[w][v]
+                    if e:
+                        nxt = paths.get(S | wbit)
+                        if nxt is None:
+                            paths[S | wbit] = {w: x * e}
+                        else:
+                            nxt[w] = nxt.get(w, 0) + x * e
+            cyc[S] = closed
+
+    # graded[S][c]: sum over partitions of S into c blocks
+    graded = [None] * size
+    graded[0] = [1]
+
+    def split(S):
+        low = S & -S
+        rest = S ^ low
+        out = [0] * (S.bit_count() + 1)
+        U = rest
+        while True:
+            c = cyc[U | low]
+            if c:
+                for j, f in enumerate(graded[rest ^ U]):
+                    if f:
+                        out[j + 1] += c * f
+            if not U:
+                return out
+            U = (U - 1) & rest
+
+    # only the full set and the sets without vertex 0 are ever split off
+    for S in range(2, size, 2):
+        graded[S] = split(S)
+    return split(size - 1)
 
 
 def adet_laplace(A, alpha, q=1):

@@ -16,7 +16,15 @@ from fractions import Fraction
 from math import factorial
 
 from . import config
-from .alphadet import adet, adet_laplace, adet_sum, block_adet_check, kdet, singular_order
+from .alphadet import (
+    adet,
+    adet_dp,
+    adet_laplace,
+    adet_sum,
+    block_adet_check,
+    kdet,
+    singular_order,
+)
 from .errors import WreathdetError
 from .linalg import Matrix, det, solve_exact, symbolic_matrix
 from .perm import (
@@ -217,6 +225,8 @@ def _chk_laplace_random(rng):
         A = rand_matrix(rng, n, n)
         alpha = rand_fraction(rng)
         ref = adet_sum(A, alpha)
+        if adet_dp(A, alpha) != ref:
+            return False, f"dp n={n}"
         for q in range(1, n + 1):
             if adet_laplace(A, alpha, q) != ref:
                 return False, f"n={n}, q={q}"

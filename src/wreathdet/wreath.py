@@ -65,9 +65,9 @@ def kdet_fraction_from_counts(counts, k, N):
 
 
 def wrdet_direct(A, k, *, cap=None):
-    """wrdet by the defining sum over S_{kn}."""
+    """wrdet as the kdet of the column-k-plexed matrix."""
     _check_wrdet_shape(A, k)
-    return kdet(column_k_plex(A, k), k, method="sum", cap=cap)
+    return kdet(column_k_plex(A, k), k, cap=cap)
 
 
 def tdet(A, T):

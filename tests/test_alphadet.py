@@ -4,13 +4,27 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wreathdet.alphadet import adet, adet_laplace, adet_sum, block_adet_check, kdet, singular_order
+from wreathdet import alphadet
+from wreathdet._kernels import _pycore
+from wreathdet.alphadet import (
+    _cycle_cover_sums,
+    adet,
+    adet_dp,
+    adet_laplace,
+    adet_sum,
+    block_adet_check,
+    kdet,
+    singular_order,
+)
 from wreathdet.errors import CapExceededError, ShapeError
 from wreathdet.linalg import Matrix, det, symbolic_matrix
 from wreathdet.perm import enumerate_group, support_subgroup_elements
 from wreathdet.rings import ALPHA
+from wreathdet.symfun import d_nk, power_matrix
 from wreathdet.verify import rand_matrix
+from wreathdet.wreath import column_k_plex, wrdet_direct
 
 
 def brute_adet(A, alpha):
@@ -36,7 +50,7 @@ def brute_adet(A, alpha):
 
 def test_all_ones_stirling():
     assert adet(Matrix.ones(3), ALPHA) == (1 + ALPHA) * (1 + 2 * ALPHA)
-    for n in range(1, 6):
+    for n in (1, 2, 3, 4, 5, 12):
         expect = 1 * ALPHA**0
         for i in range(1, n):
             expect = expect * (1 + i * ALPHA)
@@ -177,3 +191,112 @@ def test_singular_order():
     assert singular_order(-1) == 1
     assert singular_order(Fraction(1, 4)) is None
     assert singular_order(Fraction(-3, 4)) is None
+
+
+# --- the cycle-cover DP against the two oracles ------------------------------
+
+SPECIAL_ALPHAS = [Fraction(-1, k) for k in range(1, 5)] + [Fraction(0), ALPHA]
+
+
+def mixed_matrix(rng, n):
+    """Rational entries over mixed denominators, with zeros."""
+    return Matrix(
+        [
+            [Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 12)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+def assert_three_agree(A, alpha, q=1):
+    value = adet_dp(A, alpha)
+    assert value == adet_sum(A, alpha)
+    if A.nrows:
+        assert value == adet_laplace(A, alpha, q)
+
+
+def test_dp_matches_sum_and_laplace_seeded():
+    rng = random.Random(47)
+    for n in range(0, 8):
+        A = mixed_matrix(rng, n)
+        alphas = SPECIAL_ALPHAS + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))]
+        for alpha in alphas:
+            assert_three_agree(A, alpha, q=rng.randint(1, max(n, 1)))
+
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+alphas = st.one_of(fractions, st.sampled_from(SPECIAL_ALPHAS))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 7))
+    entries = st.one_of(st.just(Fraction(0)), fractions)
+    return Matrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+@settings(deadline=None)
+@given(square_matrices(), alphas, st.integers(1, 7))
+def test_dp_matches_sum_and_laplace_property(A, alpha, q):
+    assert_three_agree(A, alpha, q=min(q, max(A.nrows, 1)))
+
+
+def test_cycle_cover_sums_kernel_contract():
+    rng = random.Random(53)
+    for n in range(0, 8):
+        for _ in range(5):
+            rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+            assert _cycle_cover_sums(rows, n) == _pycore.nu_grouped_products(rows, n)
+
+
+def test_dp_edge_cases():
+    assert adet_dp(Matrix([]), ALPHA) == 1
+    assert adet_dp(Matrix([[Fraction(-4, 9)]]), ALPHA) == Fraction(-4, 9)
+    rng = random.Random(59)
+    A = mixed_matrix(rng, 5)
+    for alpha in SPECIAL_ALPHAS:
+        # a zero column kills every term
+        assert adet_dp(A.with_col(2, [0] * 5), alpha) == 0
+        # a diagonal matrix keeps only the identity, whose weight is alpha^0
+        diag = Matrix([[A[i, i] if i == j else 0 for j in range(5)] for i in range(5)])
+        expect = A[0, 0] * A[1, 1] * A[2, 2] * A[3, 3] * A[4, 4]
+        assert adet_dp(diag, alpha) == expect == adet_sum(diag, alpha)
+    # rank deficient: the third row is the sum of the first two
+    rows = [list(r) for r in A.rows]
+    rows[2] = [a + b for a, b in zip(rows[0], rows[1])]
+    B = Matrix(rows)
+    assert adet_dp(B, -1) == 0 == det(B)
+    for alpha in SPECIAL_ALPHAS:
+        assert_three_agree(B, alpha, q=3)
+
+
+def test_dp_symbolic_entries():
+    X = symbolic_matrix(4, 4)
+    assert adet(X, ALPHA, "dp") == adet_sum(X, ALPHA) == adet_laplace(X, ALPHA, 3)
+
+
+def test_dp_cap():
+    # one past the cap fails loudly instead of falling back to Laplace
+    with pytest.raises(CapExceededError):
+        adet(Matrix.ones(13), Fraction(1, 2))
+    with pytest.raises(CapExceededError):
+        adet_dp(Matrix.ones(6), ALPHA, cap=5)
+    with pytest.raises(CapExceededError):
+        wrdet_direct(Matrix.ones(8, 4), 2, cap=6)
+    with pytest.raises(ValueError):
+        adet(Matrix.ones(2), ALPHA, "bogus")
+
+
+def test_auto_routes_rationals_to_dp(monkeypatch):
+    def no_enumeration(rows, n):
+        raise AssertionError("auto took the n! defining sum")
+
+    monkeypatch.setattr(alphadet, "nu_grouped_products", no_enumeration)
+    rng = random.Random(61)
+    A = mixed_matrix(rng, 6)
+    assert adet(A, Fraction(2, 3)) == adet_laplace(A, Fraction(2, 3))
+    assert kdet(A, 3) == adet_laplace(A, Fraction(-1, 3))
+    W = rand_matrix(rng, 6, 3)
+    assert wrdet_direct(W, 2) == adet_laplace(column_k_plex(W, 2), Fraction(-1, 2))
+    xs, exps = [1, 2, 3, 5], [0, 0, 1, 1]
+    assert d_nk(xs, exps, 2) == adet_laplace(power_matrix(xs, exps), Fraction(-1, 2))
