@@ -66,7 +66,7 @@ def adet(A, alpha, method="auto", *, cap=None):
     if method == "sum":
         return adet_sum(A, alpha, cap=cap)
     if method == "laplace":
-        return adet_laplace(A, alpha)
+        return adet_laplace(A, alpha, cap=cap)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -236,7 +236,7 @@ def _cycle_cover_sums(rows, n):
     return split(size - 1)
 
 
-def adet_laplace(A, alpha, q=1):
+def adet_laplace(A, alpha, q=1, *, cap=None):
     """adet by the one-column expansion at column q (1-based).
 
     The expansion removes column q and row q; the term for row p carries the
@@ -244,9 +244,13 @@ def adet_laplace(A, alpha, q=1):
     surviving row p is overwritten with row q's surviving entries. Recursive
     subexpansions always use the first remaining column, with memoization on
     the tuple of row contents (replacements cascade, so the content tuple is
-    the correct key).
+    the correct key). Degrees above cap (default FACTORIAL_CAP) raise
+    CapExceededError, as in the other evaluators.
     """
     n = _require_square(A)
+    cap = config.FACTORIAL_CAP if cap is None else cap
+    if n > cap:
+        raise CapExceededError("adet degree", n, cap)
     if n == 0:
         return Fraction(1)
     if not 1 <= q <= n:

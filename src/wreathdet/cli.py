@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import config
-from .alphadet import adet_laplace, adet_sum
+from .alphadet import adet_dp, adet_laplace, adet_sum
 from .errors import CapExceededError, WreathdetError
 from .linalg import Matrix
 from .rings import ALPHA
@@ -104,6 +104,8 @@ def cmd_adet(args, report):
         raise UsageError(f"adet needs a square matrix, got {A.nrows}x{A.ncols}")
     alpha = _parse_alpha(args.alpha)
     values = {}
+    if args.method == "dp":
+        values["dp"] = adet_dp(A, alpha)
     if args.method in ("sum", "both"):
         values["sum"] = adet_sum(A, alpha)
     if args.method in ("laplace", "both"):
@@ -199,7 +201,9 @@ def build_parser():
     p.add_argument("matrix")
     p.add_argument("--alpha", default="symbolic",
                    help="exact fraction like -1/2, or 'symbolic'")
-    p.add_argument("--method", choices=("sum", "laplace", "both"), default="sum")
+    p.add_argument("--method", choices=("dp", "sum", "laplace", "both"), default="dp",
+                   help="dp: cycle-cover DP; sum, laplace: the oracles; "
+                   "both: sum against laplace")
     common(p)
     p.set_defaults(fn=cmd_adet)
 

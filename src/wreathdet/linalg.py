@@ -13,7 +13,7 @@ objects from wreathdet.perm.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import ShapeError
 from .rings import Poly, is_rational
@@ -187,7 +187,7 @@ def _det_int_bareiss(rows):
 
 
 def _scaled_int_rows(matrix):
-    """(integer rows, overall denominator): row i is scaled by den_i."""
+    """(integer rows, row denominators): row i is scaled by dens[i]."""
     dens = []
     out = []
     for row in matrix.rows:
@@ -195,10 +195,7 @@ def _scaled_int_rows(matrix):
         d = lcm(*(f.denominator for f in fracs)) if fracs else 1
         out.append([int(f * d) for f in fracs])
         dens.append(d)
-    scale = 1
-    for d in dens:
-        scale *= d
-    return out, scale
+    return out, dens
 
 
 def det(matrix):
@@ -208,8 +205,8 @@ def det(matrix):
     if matrix.nrows == 0:
         return Fraction(1)
     if matrix.is_rational():
-        rows, scale = _scaled_int_rows(matrix)
-        return Fraction(_det_int_bareiss(rows), scale)
+        rows, dens = _scaled_int_rows(matrix)
+        return Fraction(_det_int_bareiss(rows), prod(dens))
     return _det_expansion(matrix.rows, list(range(matrix.nrows)))
 
 
@@ -248,11 +245,38 @@ def solve_exact(rows, rhs):
 
 
 def leading_principal_minors(matrix):
-    """All n leading principal minors, exactly (independent Bareiss runs)."""
+    """All n leading principal minors, exactly.
+
+    Rational matrices take one fraction-free (Bareiss) pass without row
+    exchanges over the row-scaled integer matrix: by Sylvester's identity
+    the pivot m[i][i] before step i is the (i+1)-th leading minor of that
+    matrix, so dividing it by the row denominators of rows 0..i gives the
+    minor of the input, in O(n^3) instead of one determinant per minor. At
+    the first zero pivot the pass stops and the remaining minors are taken
+    one by one with the pivoting det. Poly entries take det for every minor.
+    """
     if matrix.nrows != matrix.ncols:
         raise ShapeError("principal minors of a non-square matrix")
+    n = matrix.nrows
     out = []
-    for j in range(1, matrix.nrows + 1):
+    if matrix.is_rational():
+        m, dens = _scaled_int_rows(matrix)
+        scale = 1
+        prev = 1
+        for i in range(n):
+            piv = m[i][i]
+            if piv == 0:
+                break
+            scale *= dens[i]
+            out.append(Fraction(piv, scale))
+            row_i = m[i]
+            for r in range(i + 1, n):
+                row_r = m[r]
+                mri = row_r[i]
+                for c in range(i + 1, n):
+                    row_r[c] = (row_r[c] * piv - mri * row_i[c]) // prev
+            prev = piv
+    for j in range(len(out) + 1, n + 1):
         idx = range(j)
         out.append(det(matrix.submatrix(idx, idx)))
     return out

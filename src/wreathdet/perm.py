@@ -161,7 +161,7 @@ def young_subgroup_order(n, k):
     return factorial(k) ** n
 
 
-def _check_young_caps(n, k, cap):
+def check_young_caps(n, k, cap):
     cap = config.YOUNG_SUBGROUP_CAP if cap is None else cap
     order = young_subgroup_order(n, k)
     if order > cap:
@@ -177,7 +177,7 @@ def young_subgroup_tuples0(n, k, *, cap=None, chunk_size=65536):
     itself. Chunking keeps memory flat for large (k!)^n and gives natural
     units for parallel, order-independent reduction.
     """
-    _check_young_caps(n, k, cap)
+    check_young_caps(n, k, cap)
     base = list(itertools.permutations(range(k)))
     buf = []
     for combo in itertools.product(base, repeat=n):
@@ -201,7 +201,7 @@ def _young_tuples_cached(n, k):
 
 def young_subgroup_elements(n, k, *, cap=None):
     """The (k!)^n elements of S_k^n inside S_{kn}, lexicographic order."""
-    _check_young_caps(n, k, cap)
+    check_young_caps(n, k, cap)
     for chunk in young_subgroup_tuples0(n, k, cap=cap):
         for images in chunk:
             yield Permutation.from_zero_based(images)
@@ -213,7 +213,7 @@ def young_subgroup_histogram(left0, n, k, *, cap=None):
     `left0` is a fixed 0-based image tuple of degree kn. Small subgroups are
     materialized once and cached; large ones are streamed in chunks.
     """
-    _check_young_caps(n, k, cap)
+    check_young_caps(n, k, cap)
     N = k * n
     if young_subgroup_order(n, k) <= 200_000:
         return _kernels.nu_histogram_compose(left0, _young_tuples_cached(n, k), N)

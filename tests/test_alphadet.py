@@ -144,6 +144,13 @@ def test_cap_and_shape_errors():
         adet(Matrix([[1, 2]]), 1)
     with pytest.raises(CapExceededError):
         adet_sum(Matrix.ones(6), ALPHA, cap=5)
+    # the Laplace route keeps the cap, forced or taken by auto above n = 8
+    with pytest.raises(CapExceededError):
+        adet(symbolic_matrix(3, 3), ALPHA, "laplace", cap=1)
+    with pytest.raises(CapExceededError):
+        adet(symbolic_matrix(9, 9), ALPHA, cap=2)
+    with pytest.raises(CapExceededError):
+        adet_laplace(Matrix.ones(13), ALPHA)
 
 
 def test_block_multiplicativity():

@@ -65,6 +65,20 @@ def test_adet_both_methods(tmp_path, capsys):
     assert doc["values"]["sum"] == doc["values"]["laplace"]
 
 
+def test_adet_default_method_is_dp(tmp_path, capsys):
+    # out of reach of the 11! defining sum; the DP takes well under a second
+    from fractions import Fraction
+    from math import prod
+
+    p = write_json_matrix(tmp_path / "ones11.json", [[1] * 11] * 11)
+    code, out, _ = run(capsys, "adet", p, "--alpha", "1/2", "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    expect = prod(1 + Fraction(i, 2) for i in range(11))
+    assert doc["values"] == {"dp": str(expect), "adet": str(expect)}
+    assert doc["wall_time_s"] < 10
+
+
 def test_wrdet_paper_example(tmp_path, capsys):
     rows = [
         [1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1],

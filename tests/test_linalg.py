@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wreathdet import linalg
 from wreathdet.errors import ShapeError
 from wreathdet.linalg import (
     Matrix,
@@ -87,12 +89,97 @@ def test_blocks_and_shapes():
         Matrix([[1, 2], [3]])
 
 
+def minors_by_det(A):
+    """Oracle: one pivoting Bareiss determinant per leading minor."""
+    return [det(A.submatrix(range(j), range(j))) for j in range(1, A.nrows + 1)]
+
+
+def mixed_matrix(rng, n):
+    """Rational entries over mixed denominators, with zeros and signs."""
+    return Matrix(
+        [
+            [Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 12)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
 def test_leading_principal_minors():
     A = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     assert leading_principal_minors(A) == [2, 3, 4]
     # zero middle minor does not break the later ones
     B = Matrix([[0, 1], [1, 0]])
     assert leading_principal_minors(B) == [0, -1]
+    C = Matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    assert leading_principal_minors(C) == [1, 0, -1]
+    assert leading_principal_minors(Matrix([])) == []
+    assert leading_principal_minors(Matrix([[Fraction(-3, 7)]])) == [Fraction(-3, 7)]
+    with pytest.raises(ShapeError):
+        leading_principal_minors(Matrix([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_leading_principal_minors_match_det_seeded():
+    rng = random.Random(17)
+    for n in range(0, 8):
+        for _ in range(6):
+            A = mixed_matrix(rng, n)
+            assert leading_principal_minors(A) == minors_by_det(A)
+    # negative pivots, a zero first row, and rank-deficient matrices
+    neg = Matrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
+    assert leading_principal_minors(neg) == [-2, 3, -4]
+    for n in range(1, 7):
+        A = mixed_matrix(rng, n)
+        zero_first = Matrix([[0] * n] + [list(r) for r in A.rows[1:]])
+        assert leading_principal_minors(zero_first) == [0] * n
+        for rank in range(1, n):
+            L, R = mixed_matrix(rng, n), mixed_matrix(rng, n)
+            low = L.submatrix(range(n), range(rank)) @ R.submatrix(range(rank), range(n))
+            minors = leading_principal_minors(low)
+            assert minors == minors_by_det(low)
+            assert minors[-1] == 0
+
+
+def test_leading_principal_minors_one_pass(monkeypatch):
+    # with every leading minor nonzero, no per-minor determinant is taken
+    def no_det(matrix):
+        raise AssertionError("took a determinant per minor")
+
+    monkeypatch.setattr(linalg, "det", no_det)
+    A = Matrix([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 3), 2, Fraction(-5, 6)], [0, 1, 7]])
+    assert leading_principal_minors(A) == [Fraction(1, 2), Fraction(8, 9), Fraction(239, 36)]
+
+
+def test_leading_principal_minors_poly_entries():
+    X = symbolic_matrix(3, 3)
+    assert leading_principal_minors(X) == minors_by_det(X)
+    rng = random.Random(23)
+    A = rand_matrix(rng, 3, 3)
+    assignment = {("x", i + 1, j + 1): A[i, j] for i in range(3) for j in range(3)}
+    assert [m.subs(assignment).as_rational() for m in leading_principal_minors(X)] == (
+        leading_principal_minors(A)
+    )
+
+
+entries = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12))
+)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 7))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # a repeated row makes every later leading minor singular
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[j] = list(rows[i])
+    return Matrix(rows)
+
+
+@settings(deadline=None)
+@given(square_matrices())
+def test_leading_principal_minors_match_det_property(A):
+    assert leading_principal_minors(A) == minors_by_det(A)
 
 
 def test_solve_exact():

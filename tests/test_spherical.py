@@ -1,11 +1,20 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from wreathdet import spherical
 from wreathdet.errors import CapExceededError, ShapeError
 from wreathdet.linalg import Matrix
-from wreathdet.perm import Permutation, enumerate_group, young_subgroup_elements
+from wreathdet.perm import (
+    Permutation,
+    enumerate_group,
+    young_subgroup_elements,
+    young_subgroup_histogram,
+)
 from wreathdet.spherical import (
     kdet_weight_class_identity,
     phi,
@@ -30,6 +39,24 @@ def brute_phi(g, n, k):
     return wrdet_direct(base.perm_rows(g), k) / wrdet_direct(base, k)
 
 
+def young_sum_phi(g, n, k):
+    """Oracle: the Young-subgroup sum of the module docstring, without kdet."""
+    counts = young_subgroup_histogram(g.inverse().zero_based(), n, k)
+    num = sum(c * (-1) ** (k * n - nu) * k**nu for nu, c in enumerate(counts))
+    return Fraction(num, factorial(k) ** n)
+
+
+def two_block_coset_reps(k):
+    """One g per S_k^2 double coset in S_2k: j of the k points swap blocks."""
+    reps = []
+    for j in range(k + 1):
+        images = list(range(1, 2 * k + 1))
+        for i in range(j):
+            images[i], images[k + i] = images[k + i], images[i]
+        reps.append(Permutation(images))
+    return reps
+
+
 def test_phi_identity_and_shape():
     assert phi(Permutation.identity(4), 2, 2) == 1
     with pytest.raises(ShapeError):
@@ -42,6 +69,56 @@ def test_phi_matches_ratio_oracle():
         for _ in range(4):
             g = rand_permutation(rng, k * n)
             assert phi(g, n, k) == brute_phi(g, n, k)
+
+
+def test_phi_kdet_route_matches_young_sum():
+    for k in (4, 5):
+        reps = two_block_coset_reps(k)
+        assert len({transport_matrix(g, 2, k) for g in reps}) == k + 1
+        for g in reps:
+            assert phi(g, 2, k) == young_sum_phi(g, 2, k)
+    rng = random.Random(19)
+    for n, k, draws in ((3, 4, 4), (2, 6, 2)):
+        for _ in range(draws):
+            g = rand_permutation(rng, k * n)
+            assert phi(g, n, k) == young_sum_phi(g, n, k)
+
+
+def test_phi_decomposition_on_kdet_route():
+    rng = random.Random(29)
+    for g in [Permutation.identity(8)] + [rand_permutation(rng, 8) for _ in range(2)]:
+        assert phi_decomposition_check(g, 2, 4)
+
+
+def test_phi_routes_by_young_subgroup_order(monkeypatch):
+    # (6!)^2 > 2^12 takes the kdet ratio; (2!)^6 <= 2^12 takes the Young sum
+    rng = random.Random(31)
+    g = rand_permutation(rng, 12)
+
+    def no_young_sum(*args, **kwargs):
+        raise AssertionError("(2,6) enumerated its Young subgroup")
+
+    monkeypatch.setattr(spherical, "young_subgroup_histogram", no_young_sum)
+    assert phi(Permutation.identity(12), 2, 6) == 1
+    phi(g, 2, 6)
+    monkeypatch.undo()
+
+    def no_kdet(*args, **kwargs):
+        raise AssertionError("(6,2) took the kdet ratio")
+
+    monkeypatch.setattr(spherical, "kdet", no_kdet)
+    assert phi(Permutation.identity(12), 6, 2) == 1
+    phi(g, 6, 2)
+
+
+def test_phi_kdet_route_caps():
+    g = Permutation.identity(12)
+    with pytest.raises(CapExceededError):
+        phi(g, 2, 6, cap=1000)
+    with pytest.raises(CapExceededError):
+        xi_matrix(2, 6, cap=1000)
+    with pytest.raises(CapExceededError):
+        phi(Permutation.identity(14), 2, 7, cap=10**8)  # kn = 14 > FACTORIAL_CAP
 
 
 def test_phi_biinvariance_and_inversion():
@@ -128,6 +205,14 @@ def test_xi_scan_contents():
     assert all(p["positive_definite"] for p in pairs)
     with pytest.raises(CapExceededError):
         xi_scan(13)
+
+
+def test_xi_scan_12_regression():
+    # sha256 of the scan's JSON, (3,4) and (4,3) skipped by the order cap
+    doc = json.dumps(xi_scan(12), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "938296b30161d8b1d2693095d1bab5de22003a36630c4be9acfe5c03a556d55b"
+    )
 
 
 def test_wrdet_symbolic_monomial_count():
