@@ -1,9 +1,9 @@
-"""Pure-Python kernel implementations.
+"""The library's inner loops, in pure Python.
 
-These are the hot inner loops of the library: cycle-count histograms over
-streams of permutations, and cycle-grouped permutation sums over integer
-matrices. The compiled backend (_cycore) implements the same two functions;
-results are bit-identical. Permutations here are 0-based image tuples.
+Cycle-count histograms over streams of permutations (behind the
+Young-subgroup sums), and cycle-grouped permutation sums over integer
+matrices (behind the `adet_sum` oracle). Permutations here are 0-based
+image tuples.
 """
 
 from itertools import permutations

@@ -63,7 +63,11 @@ def load_matrix(path):
         r, c = int(doc["rows"]), int(doc["cols"])
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: need rows, cols, entries ({exc})") from None
-    if len(entries) != r or any(len(row) != c for row in entries):
+    if (
+        not isinstance(entries, list)
+        or len(entries) != r
+        or any(not isinstance(row, list) or len(row) != c for row in entries)
+    ):
         raise UsageError(f"{path}: entries do not match {r}x{c}")
     return Matrix([[_parse_cell(e) for e in row] for row in entries])
 

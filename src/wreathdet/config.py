@@ -5,8 +5,6 @@ truncation. Callers may pass their own cap to the enumeration functions; the
 values here are the defaults.
 """
 
-import os
-
 # Full symmetric-group enumerations run over S_N with N at most this.
 FACTORIAL_CAP = 12
 
@@ -18,11 +16,3 @@ TABLEAU_CELL_CAP = 20
 
 # Largest Xi_{n,k} order the scan will build.
 XI_ORDER_CAP = 200
-
-
-def thread_count():
-    """Parallelism bound from WREATHDET_THREADS (>= 1)."""
-    try:
-        return max(1, int(os.environ.get("WREATHDET_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -2,7 +2,7 @@
 by independent evaluation paths at desk scale.
 
 Each check draws its own Random stream from (seed, check name), so results
-are reproducible regardless of execution order or thread count. Suites are
+are reproducible regardless of execution order. Suites are
 grouped as the CLI exposes them: alphadet, wreath, symfun, spherical.
 """
 
@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from . import config
 from .alphadet import (
     adet,
     adet_dp,
@@ -141,12 +139,10 @@ def _brute_permanent(A):
     return total
 
 
-def check_runner(seed, named_checks, threads=None):
+def check_runner(seed, named_checks):
     """Run (name, fn) pairs; fn(rng) -> bool or (bool, detail)."""
-    threads = config.thread_count() if threads is None else threads
 
-    def run_one(item):
-        name, fn = item
+    def run_one(name, fn):
         rng = random.Random(f"{seed}:{name}")
         try:
             out = fn(rng)
@@ -157,10 +153,7 @@ def check_runner(seed, named_checks, threads=None):
             return Check(name, bool(ok), "" if ok else str(detail))
         return Check(name, bool(out))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, named_checks))
-    return [run_one(item) for item in named_checks]
+    return [run_one(name, fn) for name, fn in named_checks]
 
 
 # --- alphadet suite -------------------------------------------------------------
@@ -1045,7 +1038,7 @@ SUITES = {
 }
 
 
-def run_suite(name, seed, threads=None):
+def run_suite(name, seed):
     """Run one suite (or 'all'); returns Check records in canonical order."""
     if name == "all":
         checks = [c for suite in SUITES.values() for c in suite]
@@ -1053,4 +1046,4 @@ def run_suite(name, seed, threads=None):
         checks = SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return check_runner(seed, checks, threads)
+    return check_runner(seed, checks)

@@ -1,8 +1,5 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout,
 each printing a PASS line with its wall time (run with -s to see them).
-
-Budgets assume the compiled kernel is installed (pip install -e . builds it);
-the pure-Python fallback passes every equality but is slower.
 """
 
 import itertools

@@ -6,8 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wreathdet import alphadet
-from wreathdet._kernels import _pycore
+from wreathdet import _kernels, alphadet
 from wreathdet.alphadet import (
     _cycle_cover_sums,
     adet,
@@ -253,7 +252,7 @@ def test_cycle_cover_sums_kernel_contract():
     for n in range(0, 8):
         for _ in range(5):
             rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
-            assert _cycle_cover_sums(rows, n) == _pycore.nu_grouped_products(rows, n)
+            assert _cycle_cover_sums(rows, n) == _kernels.nu_grouped_products(rows, n)
 
 
 def test_dp_edge_cases():

@@ -116,6 +116,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert code == EXIT_USAGE
     missing_code, _, _ = run(capsys, "adet", str(tmp_path / "nope.json"))
     assert missing_code == EXIT_USAGE
+    for name, text in (
+        ("scalar_entries.json", '{"rows": 1, "cols": 1, "entries": 5}'),
+        ("scalar_row.json", '{"rows": 1, "cols": 1, "entries": [5]}'),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        code, _, err = run(capsys, "adet", str(path))
+        assert code == EXIT_USAGE and "entries do not match" in err
 
 
 def test_verify_suite_report(tmp_path, capsys):
