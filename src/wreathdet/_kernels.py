@@ -1,7 +1,7 @@
 """The library's inner loops, in pure Python.
 
 Cycle-count histograms over streams of permutations (behind the
-Young-subgroup sums), and cycle-grouped permutation sums over integer
+Young-subgroup-sum oracles), and cycle-grouped permutation sums over integer
 matrices (behind the `adet_sum` oracle). Permutations here are 0-based
 image tuples.
 """

@@ -6,6 +6,27 @@ normalized kdet of the row-permuted block-ones matrix:
     phi_{n,k}(g) = kdet(g . 1_k^{+n}) / kdet(1_k^{+n})
                  = (k^{kn} / (k!)^n) sum_{sigma in S_k^n} (-1/k)^{kn - nu(g^{-1} sigma)}.
 
+It is constant on S_k^n double cosets, which the transport matrix m of g
+classifies: an n x n matrix of nonnegative integers whose rows and columns
+all sum to k. As a function of m it has the closed form
+
+    phi_{n,k}(g) = (prod_{a,b} m_ab!) / (k!)^n * [x^m] det(X)^k,
+
+X the generic n x n matrix, which `phi` evaluates. Derivation: Vere-Jones'
+generating function (Linear Algebra Appl. 111, 1988) gives
+adet_alpha(B) = [x_1 ... x_N] det(I - alpha diag(x) B)^(-1/alpha). At
+alpha = -1/k take B = g . 1_k^{+n} = U V^T, where U and V are the kn x n
+block-membership matrices of the rows and the columns. Sylvester's
+determinant identity det(I + diag(x) U V^T / k) = det(I + Y / k) reduces the
+kn x kn determinant to the n x n matrix Y = V^T diag(x) U, whose (a, b) entry
+is the sum of the m_ab variables of the points that g carries between blocks
+a and b. Since Y is linear in x, the degree-kn part of det(I + Y/k)^k is
+k^(-kn) det(Y)^k, and its multilinear coefficient is prod m_ab! [y^m] det(Y)^k.
+Dividing by kdet(1_k^{+n}) = (k!/k^k)^n gives the closed form. Read
+backwards, it is the paper's det-power identity at the canonical coloring.
+
+The Young-subgroup sum is kept as the oracle `phi_young_sum`.
+
 The Gram-type matrix Xi_{n,k} = (phi(g(T)^{-1} g(S)))_{S,T} over rectangular
 standard tableaux is symmetric with unit diagonal; its positive definiteness
 is decided exactly through leading principal minors in rational arithmetic,
@@ -17,18 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from . import config
 from .alphadet import kdet
 from .errors import CapExceededError, ShapeError
 from .linalg import Matrix, det, leading_principal_minors, symbolic_matrix
-from .perm import (
-    check_young_caps,
-    young_subgroup_histogram,
-    young_subgroup_order,
-    young_subgroup_tuples0,
-)
+from .perm import young_subgroup_histogram, young_subgroup_order, young_subgroup_tuples0
 from .rings import Poly
 from .tableaux import (
     Partition,
@@ -38,36 +54,31 @@ from .tableaux import (
     partitions,
     standard_tableaux,
 )
-from .wreath import column_k_plex
+from .wreath import column_k_plex, det_power_coefficient
 
 
-def phi(g, n, k, *, cap=None):
-    """phi_{n,k}(g), exactly.
+def phi(g, n, k):
+    """phi_{n,k}(g), exactly, by the closed form of the module docstring:
+    (prod m_ab!) / (k!)^n * [x^m] det(X)^k with m the transport matrix of g.
 
-    Two routes, chosen by the Young-subgroup order. When (k!)^n > 2^(kn), the
-    kdet ratio of the module docstring, whose cycle-cover DP cost does not
-    grow with (k!)^n. Otherwise the Young-subgroup sum. Per call on a 2-core
-    VM in pure Python: at (2,6) the kdet takes about 40 ms against 2.8 s for
-    the 518,400-element sum, and at (6,2) the sum takes 0.2 ms against 14 ms.
-    Both routes raise CapExceededError for (k!)^n over cap (default
-    YOUNG_SUBGROUP_CAP) and for kn over FACTORIAL_CAP.
+    Its cost depends on m alone and does not grow with (k!)^n.
     """
     if g.degree != k * n:
         raise ShapeError(f"permutation degree {g.degree} != kn = {k * n}")
-    order = young_subgroup_order(n, k)
-    if order > 2 ** (k * n):
-        check_young_caps(n, k, cap)
-        # kdet(1_k^{+n}) = (k!/k^k)^n
-        return kdet(_block_ones(n, k).perm_rows(g), k) * k ** (k * n) / order
-    counts = young_subgroup_histogram(g.inverse().zero_based(), n, k, cap=cap)
+    m = transport_matrix(g, n, k)
+    weight = prod(factorial(e) for row in m for e in row)
+    return Fraction(weight * det_power_coefficient(m, k), young_subgroup_order(n, k))
+
+
+def phi_young_sum(g, n, k):
+    """Oracle: phi_{n,k}(g) as the defining sum over the (k!)^n elements of
+    S_k^n; raises CapExceededError past the Young-subgroup caps."""
+    if g.degree != k * n:
+        raise ShapeError(f"permutation degree {g.degree} != kn = {k * n}")
+    counts = young_subgroup_histogram(g.inverse().zero_based(), n, k)
     # (k^{kn}/(k!)^n) * sum counts[v] (-1/k)^{kn-v}  ==  numerator / (k!)^n
     num = sum(cnt * (-1) ** (k * n - nu) * k**nu for nu, cnt in enumerate(counts))
-    return Fraction(num, order)
-
-
-def _block_ones(n, k):
-    """1_k^{+n}: the kn x kn block-diagonal matrix of n all-ones k x k blocks."""
-    return Matrix([[int(i // k == j // k) for j in range(k * n)] for i in range(k * n)])
+    return Fraction(num, young_subgroup_order(n, k))
 
 
 def transport_matrix(g, n, k):
@@ -93,18 +104,17 @@ class XiMatrix:
         return len(self.tableaux)
 
 
-def xi_matrix(n, k, *, order_cap=None, cap=None, cache_double_cosets=True):
+def xi_matrix(n, k, *, order_cap=None):
     """The Gram matrix of phi_{n,k} over the canonical tableau order.
 
     phi is constant on S_k^n double cosets, which the transport matrix
-    classifies, so entries repeat heavily; caching on that key is what makes
-    the larger scans cheap. Disable it to force one honest sum per entry.
+    classifies, so entries repeat heavily; each distinct transport matrix
+    takes one phi call.
     """
     order_cap = config.XI_ORDER_CAP if order_cap is None else order_cap
     tabs = standard_tableaux(Partition((k,) * n))
     if len(tabs) > order_cap:
         raise CapExceededError("Gram matrix order", len(tabs), order_cap)
-    check_young_caps(n, k, cap)
     gs = [g_of_T(T) for T in tabs]
     ginv = [g.inverse() for g in gs]
     cache = {}
@@ -116,14 +126,10 @@ def xi_matrix(n, k, *, order_cap=None, cap=None, cache_double_cosets=True):
                 row.append(rows[j][i])
                 continue
             h = ginv[j] * gs[i]
-            if cache_double_cosets:
-                key = transport_matrix(h, n, k)
-                val = cache.get(key)
-                if val is None:
-                    val = phi(h, n, k, cap=cap)
-                    cache[key] = val
-            else:
-                val = phi(h, n, k, cap=cap)
+            key = transport_matrix(h, n, k)
+            val = cache.get(key)
+            if val is None:
+                val = cache[key] = phi(h, n, k)
             row.append(val)
         rows.append(row)
     return XiMatrix(n=n, k=k, tableaux=tuple(tabs), gram=Matrix(rows))
@@ -154,7 +160,7 @@ def xi_report(n, k, **kwargs):
     }
 
 
-def xi_scan(max_kn=10, *, order_cap=None, cap=None):
+def xi_scan(max_kn=10, *, order_cap=None):
     """Reports for every (n, k) with n, k >= 2 and kn <= max_kn.
 
     Pairs whose Gram order exceeds the order cap are reported as skipped
@@ -180,7 +186,7 @@ def xi_scan(max_kn=10, *, order_cap=None, cap=None):
                      "reason": f"order {order} exceeds cap {order_cap}"}
                 )
                 continue
-            out.append(xi_report(n, k, order_cap=order_cap, cap=cap))
+            out.append(xi_report(n, k, order_cap=order_cap))
     return out
 
 

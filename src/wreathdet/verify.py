@@ -37,6 +37,7 @@ from .spherical import (
     phi,
     phi_decomposition_check,
     phi_matrix_element_check,
+    phi_young_sum,
     transport_matrix,
     xi_matrix,
     xi_positive_definite,
@@ -466,9 +467,9 @@ def _chk_tableau_coefficients(rng):
     units = tableau_unit_wrdets(3, 2)
     if tuple(units[T] for T in tabs) != _EX53_COEFFS:
         return False, "unit wrdets"
-    # direct wrdet of the five 0/1 matrices agrees with the subgroup sums
+    # direct wrdet of the five 0/1 matrices agrees with the det-power closed form
     if any(wrdet_direct(tableau_matrix(T), 2) != units[T] for T in tabs):
-        return False, "direct vs subgroup sum"
+        return False, "direct vs det-power coefficient"
     # expansion coefficients differ from the unit wrdets exactly where the
     # tdet duality fails: the last coefficient picks up -1/8 from the pair
     # (row-reading, column-reading)
@@ -822,9 +823,13 @@ def _chk_xi_structure(rng):
             return False, f"symmetry ({n},{k})"
         if any(gram[i, i] != 1 for i in range(xi.order)):
             return False, f"diagonal ({n},{k})"
-        plain = xi_matrix(n, k, cache_double_cosets=False)
-        if plain.gram != gram:
-            return False, f"double-coset cache ({n},{k})"
+        # each entry, read through the transport-matrix cache, against the
+        # Young-subgroup sum at its own group element
+        gs = [g_of_T(T) for T in xi.tableaux]
+        for i, gi in enumerate(gs):
+            for j, gj in enumerate(gs):
+                if gram[i, j] != phi_young_sum(gj.inverse() * gi, n, k):
+                    return False, f"entry ({i},{j}) of ({n},{k}) vs Young-subgroup sum"
     return True
 
 

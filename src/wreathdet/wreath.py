@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from . import config
 from .alphadet import kdet
@@ -28,10 +28,9 @@ from .perm import (
     phi_embed,
     psi_embed,
     young_subgroup_elements,
-    young_subgroup_histogram,
     young_subgroup_order,
 )
-from .tableaux import Partition, g_of_T, row_reading_tableau, standard_tableaux
+from .tableaux import Partition, row_reading_tableau, standard_tableaux
 
 
 def column_k_plex(A, k):
@@ -58,10 +57,74 @@ def _check_wrdet_shape(A, k):
     return n
 
 
-def kdet_fraction_from_counts(counts, k, N):
-    """sum_v counts[v] * (-1/k)^(N - v), assembled exactly."""
-    num = sum(cnt * (-1) ** (N - nu) * k**nu for nu, cnt in enumerate(counts))
-    return Fraction(num, k**N)
+def det_power_coefficient(m, k):
+    """[x^m] det(X)^k for an n x n matrix m of exponents, as an exact integer.
+
+    det(X)^k sums sgn(pi_1)...sgn(pi_k) x^(P_pi_1 + ... + P_pi_k) over
+    ordered k-tuples of permutations of [n], so the coefficient is 0 unless
+    every row and column of m sums to k. It is computed by peeling one
+    permutation matrix off at a time,
+
+        f(M) = sum over P_pi <= M of sgn(pi) * f(M - P_pi),
+
+    with pi enumerated row by row over the support of M. The margin j of M
+    is the depth of the recursion, so M alone keys the memo, which lives for
+    this call only. At j = 1 the remainder is a permutation matrix and f is
+    its sign.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ShapeError("exponent matrix must be square")
+    if (any(e < 0 for row in m for e in row) or any(sum(row) != k for row in m)
+            or any(sum(col) != k for col in zip(*m))):
+        return 0
+    if n == 0 or k == 0:
+        return 1
+    cells = [e for row in m for e in row]
+    memo = {}
+
+    def permutation_sign():
+        # cells holds a permutation matrix; count inversions of its columns
+        sign, used = 1, 0
+        for i in range(n):
+            c = cells.index(1, i * n, i * n + n) - i * n
+            if (used >> c).bit_count() & 1:
+                sign = -sign
+            used |= 1 << c
+        return sign
+
+    def coeff(j):
+        # j < k here: margin-k matrices occur only at the top
+        if j == 1:
+            return permutation_sign()
+        key = tuple(cells)
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = peel(0, 0, 1, j)
+        return val
+
+    def peel(i, used, sign, j):
+        # rows < i already chose the columns in `used`; sign is sgn so far
+        if i == n:
+            return sign * coeff(j - 1)
+        total = 0
+        base = i * n
+        for c in range(n):
+            if cells[base + c] and not used >> c & 1:
+                cells[base + c] -= 1
+                flip = (used >> c).bit_count() & 1
+                total += peel(i + 1, used | 1 << c, -sign if flip else sign, j)
+                cells[base + c] += 1
+        return total
+
+    return permutation_sign() if k == 1 else peel(0, 0, 1, k)
+
+
+def _sign_from_multiplicities(m, k):
+    """sgn^(k) of any coloring with multiplicity matrix m:
+    prod_ab m_ab! * [x^m] det(X)^k / k^(kn) (the det-power identity at iota)."""
+    weight = prod(factorial(e) for row in m for e in row)
+    return Fraction(weight * det_power_coefficient(m, k), k ** (k * len(m)))
 
 
 def wrdet_direct(A, k, *, cap=None):
@@ -102,13 +165,16 @@ def tableau_matrix(T):
 
 @lru_cache(maxsize=32)
 def tableau_unit_wrdets(n, k):
-    """wrdet I(T) for every standard tableau T of shape (k^n), via the
-    Young-subgroup sum sum_{sigma in S_k^n} (-1/k)^(kn - nu(g(T) sigma))."""
-    coeffs = {}
-    for T in standard_tableaux(Partition((k,) * n)):
-        counts = young_subgroup_histogram(g_of_T(T).zero_based(), n, k)
-        coeffs[T] = kdet_fraction_from_counts(counts, k, k * n)
-    return coeffs
+    """wrdet I(T) for every standard tableau T of shape (k^n).
+
+    I(T) is the delta matrix of the coloring t_ij -> i, so wrdet I(T) is its
+    (n,k)-sign, prod m_ab! [x^m] det(X)^k / k^(kn) with m the multiplicity
+    matrix of ColoringFunction.from_tableau(T).
+    """
+    return {
+        T: _sign_from_multiplicities(ColoringFunction.from_tableau(T).multiplicity_matrix(), k)
+        for T in standard_tableaux(Partition((k,) * n))
+    }
 
 
 @lru_cache(maxsize=32)
@@ -281,10 +347,13 @@ class ColoringFunction:
 
     def multiplicity_matrix(self):
         """m_{ij}(f) = #{l in [k] : f((i-1)k+l) = j}."""
-        return tuple(
-            tuple(sum(1 for v in row if v == j) for j in range(1, self.n + 1))
-            for row in self.matrix_view()
-        )
+        out = []
+        for row in self.matrix_view():
+            counts = [0] * self.n
+            for v in row:
+                counts[v - 1] += 1
+            out.append(tuple(counts))
+        return tuple(out)
 
     def column_perms(self):
         """When every matrix-view column is a permutation of [n], the tuple of
@@ -313,14 +382,17 @@ class ColoringFunction:
 
 @lru_cache(maxsize=100_000)
 def _nk_sign_cached(canon_values, n, k):
-    f = ColoringFunction(canon_values, n, k)
-    counts = young_subgroup_histogram(f.g_perm().zero_based(), n, k)
-    return kdet_fraction_from_counts(counts, k, k * n)
+    return _sign_from_multiplicities(ColoringFunction(canon_values, n, k).multiplicity_matrix(), k)
 
 
 def nk_sign(f):
-    """sgn^(k)(f) = wrdet of the 0/1 matrix (delta_{f(i),j}), via the
-    Young-subgroup sum; constant on right S_k^n orbits."""
+    """sgn^(k)(f) = wrdet of the 0/1 matrix (delta_{f(i),j}); constant on
+    right S_k^n orbits.
+
+    With m the multiplicity matrix of f, sgn^(k)(f) = prod m_ab! [x^m]
+    det(X)^k / k^(kn): the det-power identity at the canonical coloring,
+    read coefficient by coefficient (see det_power_coefficient).
+    """
     return _nk_sign_cached(f.canonical_values(), f.n, f.k)
 
 

@@ -6,20 +6,21 @@ from math import factorial
 
 import pytest
 
-from wreathdet import spherical
+from wreathdet import alphadet, perm, spherical, wreath
+from wreathdet.alphadet import kdet
 from wreathdet.errors import CapExceededError, ShapeError
 from wreathdet.linalg import Matrix
 from wreathdet.perm import (
     Permutation,
     enumerate_group,
     young_subgroup_elements,
-    young_subgroup_histogram,
 )
 from wreathdet.spherical import (
     kdet_weight_class_identity,
     phi,
     phi_decomposition_check,
     phi_matrix_element_check,
+    phi_young_sum,
     transport_matrix,
     wrdet_symbolic,
     xi_det,
@@ -28,9 +29,9 @@ from wreathdet.spherical import (
     xi_report,
     xi_scan,
 )
-from wreathdet.tableaux import count_semistandard, mn_character, partitions
+from wreathdet.tableaux import count_semistandard, g_of_T, mn_character, partitions
 from wreathdet.verify import rand_permutation
-from wreathdet.wreath import row_k_plex, wrdet_direct
+from wreathdet.wreath import ColoringFunction, nk_sign, row_k_plex, wrdet_direct
 
 
 def brute_phi(g, n, k):
@@ -39,11 +40,56 @@ def brute_phi(g, n, k):
     return wrdet_direct(base.perm_rows(g), k) / wrdet_direct(base, k)
 
 
-def young_sum_phi(g, n, k):
-    """Oracle: the Young-subgroup sum of the module docstring, without kdet."""
-    counts = young_subgroup_histogram(g.inverse().zero_based(), n, k)
-    num = sum(c * (-1) ** (k * n - nu) * k**nu for nu, c in enumerate(counts))
-    return Fraction(num, factorial(k) ** n)
+def _block_ones(n, k):
+    """1_k^{+n}: the kn x kn block-diagonal matrix of n all-ones k x k blocks."""
+    return Matrix([[int(i // k == j // k) for j in range(k * n)] for i in range(k * n)])
+
+
+def kdet_ratio_phi(g, n, k):
+    """Oracle: kdet(g . 1_k^{+n}) / kdet(1_k^{+n}), through the cycle-cover DP."""
+    # kdet(1_k^{+n}) = (k!/k^k)^n
+    return kdet(_block_ones(n, k).perm_rows(g), k) * k ** (k * n) / factorial(k) ** n
+
+
+def _bounded_compositions(total, bounds):
+    """Tuples e with 0 <= e_i <= bounds[i] and sum e = total."""
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(total, bounds[0]) + 1):
+        for rest in _bounded_compositions(total - first, bounds[1:]):
+            yield (first,) + rest
+
+
+def margin_matrices(n, k):
+    """Every n x n matrix of nonnegative integers whose rows and columns all
+    sum to k: one per S_k^n double coset of S_kn."""
+
+    def fill(i, cols):
+        if i == n:
+            yield ()
+            return
+        for row in _bounded_compositions(k, cols):
+            rest = tuple(c - e for c, e in zip(cols, row))
+            for tail in fill(i + 1, rest):
+                yield (row,) + tail
+
+    return list(fill(0, (k,) * n))
+
+
+def coset_representative(m, k):
+    """A g with transport_matrix(g) == m: block j sends m[i][j] of its points
+    to block i, filling each target block in increasing order."""
+    n = len(m)
+    slot = [0] * n
+    images = []
+    for j in range(n):
+        for i in range(n):
+            for _ in range(m[i][j]):
+                images.append(i * k + slot[i] + 1)
+                slot[i] += 1
+    return Permutation(images)
 
 
 def two_block_coset_reps(k):
@@ -76,12 +122,12 @@ def test_phi_kdet_route_matches_young_sum():
         reps = two_block_coset_reps(k)
         assert len({transport_matrix(g, 2, k) for g in reps}) == k + 1
         for g in reps:
-            assert phi(g, 2, k) == young_sum_phi(g, 2, k)
+            assert phi(g, 2, k) == phi_young_sum(g, 2, k)
     rng = random.Random(19)
     for n, k, draws in ((3, 4, 4), (2, 6, 2)):
         for _ in range(draws):
             g = rand_permutation(rng, k * n)
-            assert phi(g, n, k) == young_sum_phi(g, n, k)
+            assert phi(g, n, k) == phi_young_sum(g, n, k)
 
 
 def test_phi_decomposition_on_kdet_route():
@@ -90,35 +136,56 @@ def test_phi_decomposition_on_kdet_route():
         assert phi_decomposition_check(g, 2, 4)
 
 
+def test_phi_matches_young_sum_on_every_double_coset():
+    # one g per margin-k matrix, for every n, k >= 2 with kn <= 10
+    counts = {}
+    for n, k in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2), (3, 3)):
+        cosets = margin_matrices(n, k)
+        counts[(n, k)] = len(cosets)
+        for m in cosets:
+            g = coset_representative(m, k)
+            assert transport_matrix(g, n, k) == m
+            assert phi(g, n, k) == phi_young_sum(g, n, k)
+    assert counts[(4, 2)] == 282 and counts[(5, 2)] == 6210
+    assert sum(counts.values()) == 6586
+
+
+def test_phi_matches_kdet_ratio():
+    # every double coset of (2,6) and (3,4), and a seeded 60 of the 2008 of (4,3)
+    for n, k in ((2, 6), (3, 4)):
+        cosets = margin_matrices(n, k)
+        assert len(cosets) == {(2, 6): 7, (3, 4): 120}[(n, k)]
+        for m in cosets:
+            g = coset_representative(m, k)
+            assert phi(g, n, k) == kdet_ratio_phi(g, n, k)
+    cosets = margin_matrices(4, 3)
+    assert len(cosets) == 2008
+    for m in random.Random(41).sample(cosets, 60):
+        g = coset_representative(m, 3)
+        assert phi(g, 4, 3) == kdet_ratio_phi(g, 4, 3)
+
+
 def test_phi_routes_by_young_subgroup_order(monkeypatch):
-    # (6!)^2 > 2^12 takes the kdet ratio; (2!)^6 <= 2^12 takes the Young sum
+    # Whatever (k!)^n is, phi, the Gram matrix, the (n,k)-signs and the unit
+    # wreath determinants go through det_power_coefficient alone: at (2,6)
+    # and (6,2) none of them may enumerate a Young subgroup or call kdet.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached a Young-subgroup sum or kdet")
+
+    for module in (perm, alphadet, spherical, wreath):
+        for name in ("young_subgroup_histogram", "kdet"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    wreath._nk_sign_cached.cache_clear()
+    wreath.tableau_unit_wrdets.cache_clear()
     rng = random.Random(31)
-    g = rand_permutation(rng, 12)
-
-    def no_young_sum(*args, **kwargs):
-        raise AssertionError("(2,6) enumerated its Young subgroup")
-
-    monkeypatch.setattr(spherical, "young_subgroup_histogram", no_young_sum)
-    assert phi(Permutation.identity(12), 2, 6) == 1
-    phi(g, 2, 6)
-    monkeypatch.undo()
-
-    def no_kdet(*args, **kwargs):
-        raise AssertionError("(6,2) took the kdet ratio")
-
-    monkeypatch.setattr(spherical, "kdet", no_kdet)
-    assert phi(Permutation.identity(12), 6, 2) == 1
-    phi(g, 6, 2)
-
-
-def test_phi_kdet_route_caps():
-    g = Permutation.identity(12)
-    with pytest.raises(CapExceededError):
-        phi(g, 2, 6, cap=1000)
-    with pytest.raises(CapExceededError):
-        xi_matrix(2, 6, cap=1000)
-    with pytest.raises(CapExceededError):
-        phi(Permutation.identity(14), 2, 7, cap=10**8)  # kn = 14 > FACTORIAL_CAP
+    for n, k in ((2, 6), (6, 2)):
+        g = rand_permutation(rng, 12)
+        assert phi(Permutation.identity(12), n, k) == 1
+        phi(g, n, k)
+        assert xi_matrix(n, k).order == 132
+        nk_sign(ColoringFunction.iota(n, k).act_right(g))
+        assert len(wreath.tableau_unit_wrdets(n, k)) == 132
 
 
 def test_phi_biinvariance_and_inversion():
@@ -152,11 +219,16 @@ def test_xi_22_matrix():
 
 
 def test_xi_symmetry_diagonal_and_cache_agreement():
+    # every entry, read through the transport-matrix cache, equals the
+    # Young-subgroup sum at its own group element
     for n, k in ((2, 2), (3, 2), (2, 3), (2, 4)):
         xi = xi_matrix(n, k)
         assert xi.gram == xi.gram.transpose()
         assert all(xi.gram[i, i] == 1 for i in range(xi.order))
-        assert xi_matrix(n, k, cache_double_cosets=False).gram == xi.gram
+        gs = [g_of_T(T) for T in xi.tableaux]
+        for i, gi in enumerate(gs):
+            for j, gj in enumerate(gs):
+                assert xi.gram[i, j] == phi_young_sum(gj.inverse() * gi, n, k)
 
 
 def test_xi_determinants_match_paper():

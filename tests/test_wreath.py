@@ -7,7 +7,7 @@ import pytest
 
 from wreathdet.errors import CapExceededError, ShapeError
 from wreathdet.linalg import Matrix, det
-from wreathdet.perm import Permutation
+from wreathdet.perm import Permutation, enumerate_group, young_subgroup_histogram
 from wreathdet.tableaux import Partition, row_reading_tableau, standard_tableaux
 from wreathdet.verify import rand_matrix
 from wreathdet.wreath import (
@@ -15,6 +15,7 @@ from wreathdet.wreath import (
     WreathGroupElement,
     colorings,
     column_k_plex,
+    det_power_coefficient,
     det_power_identity_check,
     nk_sign,
     orbit_data,
@@ -235,6 +236,58 @@ def test_nk_sign_iota_and_k1():
         assert nk_sign(ColoringFunction.iota(n, k)) == Fraction(factorial(k), k**k) ** n
     for images in itertools.permutations((1, 2, 3)):
         assert nk_sign(ColoringFunction(images, 3, 1)) == Permutation(images).sign()
+
+
+def young_sum_nk_sign(f):
+    """Oracle: sgn^(k)(f) = sum over sigma in S_k^n of (-1/k)^(kn - nu(g_f sigma))."""
+    n, k = f.n, f.k
+    counts = young_subgroup_histogram(f.g_perm().zero_based(), n, k)
+    return sum(c * Fraction(-1, k) ** (k * n - nu) for nu, c in enumerate(counts))
+
+
+def test_det_power_coefficient_unit_cases():
+    for g in enumerate_group(4):
+        P = tuple(tuple(int(g(i + 1) == j + 1) for j in range(4)) for i in range(4))
+        assert det_power_coefficient(P, 1) == g.sign()
+    for n, k in ((1, 5), (2, 3), (3, 3), (4, 2)):
+        kI = tuple(tuple(k * (i == j) for j in range(n)) for i in range(n))
+        assert det_power_coefficient(kI, k) == 1
+    # margins other than k, and a negative exponent, give 0
+    assert det_power_coefficient(((2, 0), (0, 2)), 3) == 0
+    assert det_power_coefficient(((2, 1), (0, 2)), 2) == 0
+    assert det_power_coefficient(((3, -1), (-1, 3)), 2) == 0
+    assert det_power_coefficient((), 3) == 1
+    assert det_power_coefficient(((0, 0), (0, 0)), 0) == 1
+    with pytest.raises(ShapeError):
+        det_power_coefficient(((1, 1), (1,)), 1)
+    # [x11 x12 x21 x22] (x11 x22 - x12 x21)^2 = -2
+    assert det_power_coefficient(((1, 1), (1, 1)), 2) == -2
+
+
+def test_det_power_coefficient_symmetries():
+    # transposing m keeps the coefficient; swapping two rows multiplies it by (-1)^k
+    rng = random.Random(43)
+    for n, k in ((3, 2), (3, 3), (4, 2), (4, 3), (2, 5)):
+        for _ in range(6):
+            m = [[0] * n for _ in range(n)]
+            for _ in range(k):
+                pi = list(range(n))
+                rng.shuffle(pi)
+                for i in range(n):
+                    m[i][pi[i]] += 1
+            m = tuple(map(tuple, m))
+            c = det_power_coefficient(m, k)
+            assert det_power_coefficient(tuple(zip(*m)), k) == c
+            swapped = (m[1], m[0]) + m[2:]
+            assert det_power_coefficient(swapped, k) == (-1) ** k * c
+
+
+def test_nk_sign_matches_young_sum_on_every_orbit():
+    for n, k in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2)):
+        canonical = {f.canonical_values() for f in colorings(n, k)}
+        for values in canonical:
+            f = ColoringFunction(values, n, k)
+            assert nk_sign(f) == young_sum_nk_sign(f)
 
 
 def test_nk_sign_is_delta_matrix_wrdet():
