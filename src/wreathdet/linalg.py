@@ -244,37 +244,63 @@ def solve_exact(rows, rhs):
     return [m[i][n] for i in range(n)]
 
 
+def _is_symmetric(rows):
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+
+
+def _scaled_upper_triangle(matrix):
+    """(integer upper triangle, dens) of a symmetric matrix scaled by the lcm
+    D of all its denominators: row r holds columns r..n-1; dens is [D] * n."""
+    fracs = [[Fraction(e) for e in row[r:]] for r, row in enumerate(matrix.rows)]
+    d = lcm(*(f.denominator for row in fracs for f in row))
+    return [[int(f * d) for f in row] for row in fracs], [d] * len(fracs)
+
+
 def leading_principal_minors(matrix):
     """All n leading principal minors, exactly.
 
     Rational matrices take one fraction-free (Bareiss) pass without row
-    exchanges over the row-scaled integer matrix: by Sylvester's identity
-    the pivot m[i][i] before step i is the (i+1)-th leading minor of that
-    matrix, so dividing it by the row denominators of rows 0..i gives the
-    minor of the input, in O(n^3) instead of one determinant per minor. At
-    the first zero pivot the pass stops and the remaining minors are taken
-    one by one with the pivoting det. Poly entries take det for every minor.
+    exchanges over a scaled integer matrix: by Sylvester's identity the
+    pivot before step i is the (i+1)-th leading minor of that matrix, so
+    dividing it by the scale of rows 0..i gives the minor of the input, in
+    O(n^3) instead of one determinant per minor.
+
+    A symmetric input is scaled by one common denominator D, so the i-th
+    minor is piv / D^(i+1), and only its upper triangle is kept (row r holds
+    columns r..n-1). The pass stays symmetric: after step i, entry (r, c) is
+    the bordered minor of rows 0..i, r and columns 0..i, c of the scaled
+    matrix, which is its transpose's (c, r) entry, so m[r][i] is read as
+    m[i][r] and each row update touches columns r..n-1 only, half the work
+    of the general pass. Any other input is scaled row by row and reduced in
+    full.
+
+    At the first zero pivot either pass stops and the remaining minors are
+    taken one by one with the pivoting det. Poly entries take det for every
+    minor.
     """
     if matrix.nrows != matrix.ncols:
         raise ShapeError("principal minors of a non-square matrix")
     n = matrix.nrows
     out = []
     if matrix.is_rational():
-        m, dens = _scaled_int_rows(matrix)
+        upper = _is_symmetric(matrix.rows)
+        m, dens = (_scaled_upper_triangle if upper else _scaled_int_rows)(matrix)
         scale = 1
         prev = 1
         for i in range(n):
-            piv = m[i][i]
+            # row i holds columns i..n-1 on either pass
+            row_i = m[i]
+            piv = row_i[0]
             if piv == 0:
                 break
             scale *= dens[i]
             out.append(Fraction(piv, scale))
-            row_i = m[i]
             for r in range(i + 1, n):
-                row_r = m[r]
-                mri = row_r[i]
-                for c in range(i + 1, n):
-                    row_r[c] = (row_r[c] * piv - mri * row_i[c]) // prev
+                if upper:
+                    row_r, mri, tail = m[r], row_i[r - i], row_i[r - i :]
+                else:
+                    row_r, mri, tail = m[r][1:], m[r][0], row_i[1:]
+                m[r] = [(x * piv - mri * y) // prev for x, y in zip(row_r, tail)]
             prev = piv
     for j in range(len(out) + 1, n + 1):
         idx = range(j)

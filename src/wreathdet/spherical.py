@@ -35,10 +35,12 @@ never through floating-point eigenvalues.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from time import perf_counter
 
 from . import config
 from .alphadet import kdet
@@ -55,6 +57,8 @@ from .tableaux import (
     standard_tableaux,
 )
 from .wreath import column_k_plex, det_power_coefficient
+
+log = logging.getLogger(__name__)
 
 
 def phi(g, n, k):
@@ -109,7 +113,11 @@ def xi_matrix(n, k, *, order_cap=None):
 
     phi is constant on S_k^n double cosets, which the transport matrix
     classifies, so entries repeat heavily; each distinct transport matrix
-    takes one phi call.
+    takes one phi call. The transport matrix of g(T)^{-1} g(S) needs no
+    permutation product: g(S) carries block b onto row b of S and g(T)^{-1}
+    carries row a of T back onto block a, so its (a, b) entry is
+    |row_a(T) intersect row_b(S)|, read here as the popcount of two row
+    bitmasks.
     """
     order_cap = config.XI_ORDER_CAP if order_cap is None else order_cap
     tabs = standard_tableaux(Partition((k,) * n))
@@ -117,19 +125,16 @@ def xi_matrix(n, k, *, order_cap=None):
         raise CapExceededError("Gram matrix order", len(tabs), order_cap)
     gs = [g_of_T(T) for T in tabs]
     ginv = [g.inverse() for g in gs]
+    row_sets = [[sum(1 << v for v in row) for row in T.rows] for T in tabs]
     cache = {}
     rows = []
-    for i in range(len(tabs)):
-        row = []
-        for j in range(len(tabs)):
-            if j < i:
-                row.append(rows[j][i])
-                continue
-            h = ginv[j] * gs[i]
-            key = transport_matrix(h, n, k)
+    for i, rows_s in enumerate(row_sets):
+        row = [rows[j][i] for j in range(i)]
+        for j in range(i, len(tabs)):
+            key = tuple([(s & t).bit_count() for t in row_sets[j] for s in rows_s])
             val = cache.get(key)
             if val is None:
-                val = cache[key] = phi(h, n, k)
+                val = cache[key] = phi(ginv[j] * gs[i], n, k)
             row.append(val)
         rows.append(row)
     return XiMatrix(n=n, k=k, tableaux=tuple(tabs), gram=Matrix(rows))
@@ -148,8 +153,14 @@ def xi_positive_definite(n, k, **kwargs):
 
 def xi_report(n, k, **kwargs):
     """Machine-readable record for one (n, k) pair."""
+    start = perf_counter()
     xi = xi_matrix(n, k, **kwargs)
+    built = perf_counter()
     minors = leading_principal_minors(xi.gram)
+    log.info(
+        "xi (%d,%d): order %d, build %.3f s, elimination %.3f s",
+        n, k, xi.order, built - start, perf_counter() - built,
+    )
     return {
         "n": n,
         "k": k,

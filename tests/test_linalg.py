@@ -104,6 +104,12 @@ def mixed_matrix(rng, n):
     )
 
 
+def symmetric_matrix(rng, n):
+    """A + A^T with A over mixed denominators."""
+    A = mixed_matrix(rng, n)
+    return A + A.transpose()
+
+
 def test_leading_principal_minors():
     A = Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]])
     assert leading_principal_minors(A) == [2, 3, 4]
@@ -112,6 +118,10 @@ def test_leading_principal_minors():
     assert leading_principal_minors(B) == [0, -1]
     C = Matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     assert leading_principal_minors(C) == [1, 0, -1]
+    h = Fraction(1, 2)
+    S = Matrix([[h, h, 0, 1], [h, h, Fraction(1, 3), 0], [0, Fraction(1, 3), 2, h], [1, 0, h, -1]])
+    minors = leading_principal_minors(S)
+    assert minors == minors_by_det(S) and minors[1] == 0
     assert leading_principal_minors(Matrix([])) == []
     assert leading_principal_minors(Matrix([[Fraction(-3, 7)]])) == [Fraction(-3, 7)]
     with pytest.raises(ShapeError):
@@ -124,6 +134,8 @@ def test_leading_principal_minors_match_det_seeded():
         for _ in range(6):
             A = mixed_matrix(rng, n)
             assert leading_principal_minors(A) == minors_by_det(A)
+            S = symmetric_matrix(rng, n)
+            assert leading_principal_minors(S) == minors_by_det(S)
     # negative pivots, a zero first row, and rank-deficient matrices
     neg = Matrix([[-2, 1, 0], [1, -2, 1], [0, 1, -2]])
     assert leading_principal_minors(neg) == [-2, 3, -4]
@@ -137,6 +149,39 @@ def test_leading_principal_minors_match_det_seeded():
             minors = leading_principal_minors(low)
             assert minors == minors_by_det(low)
             assert minors[-1] == 0
+            # symmetric and rank-deficient: B^T diag(d) B with B of rank `rank`
+            B = mixed_matrix(rng, rank) @ mixed_matrix(rng, n).submatrix(range(rank), range(n))
+            d = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rank)]
+            sym_low = B.transpose() @ Matrix(
+                [[d[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+            ) @ B
+            minors = leading_principal_minors(sym_low)
+            assert minors == minors_by_det(sym_low)
+            assert minors[-1] == 0
+
+
+def test_leading_principal_minors_paths(monkeypatch):
+    # a symmetric input takes the upper-triangle pass; changing one
+    # off-diagonal entry sends it down the row-scaled general pass
+    calls = []
+    upper = linalg._scaled_upper_triangle
+
+    def spy(matrix):
+        calls.append(matrix)
+        return upper(matrix)
+
+    monkeypatch.setattr(linalg, "_scaled_upper_triangle", spy)
+    rng = random.Random(37)
+    for n in range(2, 8):
+        S = symmetric_matrix(rng, n)
+        assert leading_principal_minors(S) == minors_by_det(S)
+        assert calls == [S]
+        calls.clear()
+        rows = [list(r) for r in S.rows]
+        rows[0][n - 1] += Fraction(1, 7)
+        T = Matrix(rows)
+        assert leading_principal_minors(T) == minors_by_det(T)
+        assert calls == []
 
 
 def test_leading_principal_minors_one_pass(monkeypatch):
@@ -147,6 +192,8 @@ def test_leading_principal_minors_one_pass(monkeypatch):
     monkeypatch.setattr(linalg, "det", no_det)
     A = Matrix([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 3), 2, Fraction(-5, 6)], [0, 1, 7]])
     assert leading_principal_minors(A) == [Fraction(1, 2), Fraction(8, 9), Fraction(239, 36)]
+    S = Matrix([[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 3), 2, Fraction(-5, 6)], [0, Fraction(-5, 6), 7]])
+    assert leading_principal_minors(S) == [Fraction(1, 2), Fraction(8, 9), Fraction(47, 8)]
 
 
 def test_leading_principal_minors_poly_entries():
@@ -173,6 +220,9 @@ def square_matrices(draw):
         # a repeated row makes every later leading minor singular
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         rows[j] = list(rows[i])
+    if draw(st.booleans()):
+        # mirror the upper triangle: a symmetric input
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
     return Matrix(rows)
 
 

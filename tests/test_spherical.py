@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import random
 from fractions import Fraction
 from math import factorial
@@ -92,17 +93,6 @@ def coset_representative(m, k):
     return Permutation(images)
 
 
-def two_block_coset_reps(k):
-    """One g per S_k^2 double coset in S_2k: j of the k points swap blocks."""
-    reps = []
-    for j in range(k + 1):
-        images = list(range(1, 2 * k + 1))
-        for i in range(j):
-            images[i], images[k + i] = images[k + i], images[i]
-        reps.append(Permutation(images))
-    return reps
-
-
 def test_phi_identity_and_shape():
     assert phi(Permutation.identity(4), 2, 2) == 1
     with pytest.raises(ShapeError):
@@ -117,12 +107,8 @@ def test_phi_matches_ratio_oracle():
             assert phi(g, n, k) == brute_phi(g, n, k)
 
 
-def test_phi_kdet_route_matches_young_sum():
-    for k in (4, 5):
-        reps = two_block_coset_reps(k)
-        assert len({transport_matrix(g, 2, k) for g in reps}) == k + 1
-        for g in reps:
-            assert phi(g, 2, k) == phi_young_sum(g, 2, k)
+def test_phi_matches_young_sum_at_large_young_subgroups():
+    # seeded g where (k!)^n is 1,728 (3,4) and 518,400 (2,6)
     rng = random.Random(19)
     for n, k, draws in ((3, 4, 4), (2, 6, 2)):
         for _ in range(draws):
@@ -130,7 +116,7 @@ def test_phi_kdet_route_matches_young_sum():
             assert phi(g, n, k) == phi_young_sum(g, n, k)
 
 
-def test_phi_decomposition_on_kdet_route():
+def test_phi_decomposition_2_4():
     rng = random.Random(29)
     for g in [Permutation.identity(8)] + [rand_permutation(rng, 8) for _ in range(2)]:
         assert phi_decomposition_check(g, 2, 4)
@@ -231,6 +217,39 @@ def test_xi_symmetry_diagonal_and_cache_agreement():
                 assert xi.gram[i, j] == phi_young_sum(gj.inverse() * gi, n, k)
 
 
+def test_xi_entries_from_row_sets():
+    # the Gram entries keyed by tableau row intersections are phi at the
+    # group element itself, in both triangles
+    for n, k in ((3, 3), (2, 4), (4, 2), (2, 5)):
+        xi = xi_matrix(n, k)
+        gs = [g_of_T(T) for T in xi.tableaux]
+        for i, gi in enumerate(gs):
+            for j, gj in enumerate(gs):
+                assert xi.gram[i, j] == phi(gj.inverse() * gi, n, k)
+
+
+def test_xi_matrix_calls_phi_once_per_transport_matrix(monkeypatch):
+    seen = []
+    real_phi = spherical.phi
+
+    def counting_phi(g, n, k):
+        seen.append(transport_matrix(g, n, k))
+        return real_phi(g, n, k)
+
+    monkeypatch.setattr(spherical, "phi", counting_phi)
+    for n, k in ((3, 3), (4, 2)):
+        seen.clear()
+        xi = xi_matrix(n, k)
+        gs = [g_of_T(T) for T in xi.tableaux]
+        distinct = {
+            transport_matrix(gs[j].inverse() * gs[i], n, k)
+            for i in range(xi.order)
+            for j in range(i, xi.order)
+        }
+        assert len(seen) == len(set(seen)) == len(distinct)
+        assert set(seen) == distinct
+
+
 def test_xi_determinants_match_paper():
     assert xi_det(2, 2) == Fraction(3, 4)
     assert xi_det(3, 2) == Fraction(2, 3) * Fraction(3, 4) ** 5
@@ -277,6 +296,19 @@ def test_xi_scan_contents():
     assert all(p["positive_definite"] for p in pairs)
     with pytest.raises(CapExceededError):
         xi_scan(13)
+
+
+def test_xi_scan_logs_one_record_per_pair(caplog):
+    quiet = xi_scan(6)
+    with caplog.at_level(logging.INFO, logger="wreathdet.spherical"):
+        logged = xi_scan(6)
+    assert logged == quiet
+    records = [r for r in caplog.records if r.name == "wreathdet.spherical"]
+    assert len(records) == len(logged) == 3
+    for rec, rep in zip(records, logged):
+        assert rec.levelno == logging.INFO
+        assert rec.args[:3] == (rep["n"], rep["k"], rep["order"])
+        assert all(t >= 0 for t in rec.args[3:])
 
 
 def test_xi_scan_12_regression():
