@@ -270,9 +270,25 @@ def _cycle_type0(images):
     return tuple(sorted(lens, reverse=True))
 
 
+@lru_cache(maxsize=32)
+def _spherical_class_table(N, k):
+    """Cycle type -> sum over lambda of |SSTab_k(lambda')| chi^lambda(type)."""
+    mults = [(lam, count_semistandard(lam.conjugate(), k)) for lam in partitions(N)]
+    mults = [(lam, mult) for lam, mult in mults if mult]
+    return {
+        rho.parts: sum(mult * mn_character(lam, rho) for lam, mult in mults)
+        for rho in partitions(N)
+    }
+
+
 def phi_decomposition_check(g, n, k):
     """phi_{n,k}(g) == sum over lambda of |SSTab_k(lambda')| phi^lambda(g),
-    where phi^lambda(g) = (k!)^{-n} sum_{sigma} chi^lambda(g^{-1} sigma)."""
+    where phi^lambda(g) = (k!)^{-n} sum_{sigma} chi^lambda(g^{-1} sigma).
+
+    The sum over lambda depends on g^{-1} sigma only through its cycle type,
+    so it is tabulated once per (kn, k) and weighted by the cycle-type
+    histogram of g^{-1} sigma over S_k^n.
+    """
     N = k * n
     ginv0 = g.inverse().zero_based()
     type_hist = {}
@@ -280,16 +296,9 @@ def phi_decomposition_check(g, n, k):
         for sig in chunk:
             t = _cycle_type0(tuple(ginv0[sig[i]] for i in range(N)))
             type_hist[t] = type_hist.get(t, 0) + 1
-    total = Fraction(0)
-    for lam in partitions(N):
-        mult = count_semistandard(lam.conjugate(), k)
-        if mult == 0:
-            continue
-        acc = 0
-        for t, cnt in type_hist.items():
-            acc += cnt * mn_character(lam, Partition(t))
-        total += Fraction(mult * acc, factorial(k) ** n)
-    return total == phi(g, n, k)
+    table = _spherical_class_table(N, k)
+    total = sum(cnt * table[t] for t, cnt in type_hist.items())
+    return Fraction(total, factorial(k) ** n) == phi(g, n, k)
 
 
 def kdet_weight_class_identity(N, k):

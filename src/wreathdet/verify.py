@@ -9,10 +9,12 @@ grouped as the CLI exposes them: alphadet, wreath, symfun, spherical.
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from time import perf_counter
 
 from .alphadet import (
     adet,
@@ -24,7 +26,7 @@ from .alphadet import (
     singular_order,
 )
 from .errors import WreathdetError
-from .linalg import Matrix, det, solve_exact, symbolic_matrix
+from .linalg import Matrix, det, symbolic_matrix
 from .perm import (
     Permutation,
     enumerate_group,
@@ -84,9 +86,11 @@ from .wreath import (
     pf_coefficient,
     pile,
     row_k_plex,
+    solve_tdet_duality,
     tableau_matrix,
     tableau_unit_wrdets,
     tdet,
+    tdet_duality_columns,
     tdet_duality_matrix,
     wrdet_direct,
     wrdet_expansion_coefficients,
@@ -95,6 +99,9 @@ from .wreath import (
     wrdet_tableaux,
     wreath_group_elements,
 )
+
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -154,7 +161,13 @@ def check_runner(seed, named_checks):
             return Check(name, bool(ok), "" if ok else str(detail))
         return Check(name, bool(out))
 
-    return [run_one(name, fn) for name, fn in named_checks]
+    checks = []
+    for name, fn in named_checks:
+        start = perf_counter()
+        checks.append(run_one(name, fn))
+        log.debug("check %s: passed=%s, %.3f s", name, checks[-1].passed,
+                  perf_counter() - start)
+    return checks
 
 
 # --- alphadet suite -------------------------------------------------------------
@@ -492,6 +505,14 @@ def _chk_tableau_delta(rng):
             for q in range(p):
                 if m[p][q] != 0:
                     return False, f"lower triangle ({n},{k}) at ({p},{q})"
+        # the incidence build the expansion solves against, entry for entry
+        columns = tdet_duality_columns(n, k)
+        dense = [[int(p == q) for q in range(f)] for p in range(f)]
+        for q, column in enumerate(columns):
+            for p, v in column:
+                dense[p][q] = v
+        if tuple(map(tuple, dense)) != m:
+            return False, f"incidence build ({n},{k})"
     m32 = tdet_duality_matrix(3, 2)
     if m32[0][4] != 1:
         return False, "expected duality failure witness missing"
@@ -877,10 +898,7 @@ def _translated_expansion_coefficients(xi, scale, j):
     # expansion of X -> wrdet(g(T_j)^{-1} . X) over {tdet_S}: evaluating at
     # the unit matrices I(S_q) gives scale * Xi[q, j], then solve against the
     # tdet duality matrix exactly as for wrdet itself
-    m = tdet_duality_matrix(xi.n, xi.k)
-    f = xi.order
-    system = [[m[p][q] for p in range(f)] for q in range(f)]
-    return solve_exact(system, [scale * xi.gram[q, j] for q in range(f)])
+    return solve_tdet_duality(xi.n, xi.k, [scale * xi.gram[q, j] for q in range(xi.order)])
 
 
 def _chk_dt_expansion(rng):

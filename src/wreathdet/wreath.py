@@ -22,15 +22,15 @@ from math import factorial, prod
 from . import config
 from .alphadet import kdet
 from .errors import CapExceededError, ShapeError
-from .linalg import Matrix, det, solve_exact
+from .linalg import Matrix, _scaled_int_rows, det
 from .perm import (
     Permutation,
     phi_embed,
     psi_embed,
-    young_subgroup_elements,
     young_subgroup_order,
+    young_subgroup_tuples0,
 )
-from .tableaux import Partition, row_reading_tableau, standard_tableaux
+from .tableaux import Partition, standard_tableaux
 
 
 def column_k_plex(A, k):
@@ -185,12 +185,67 @@ def tdet_duality_matrix(n, k):
     row-word order -- but NOT the identity in general: the first off-diagonal
     entry appears at (3,2) for the pair (row-reading tableau, column-reading
     tableau), whose columns and rows share no two-element set, so no minor
-    can vanish. The tableaux expansion therefore solves against this matrix
-    instead of reading coefficients straight off the unit wrdets.
+    can vanish. This is the paper's route, one determinant per column of
+    T_p; the tableaux expansion solves against the same matrix read off the
+    tableaux (tdet_duality_columns), and this one is its oracle.
     """
     tabs = standard_tableaux(Partition((k,) * n))
     mats = [tableau_matrix(U) for U in tabs]
     return tuple(tuple(tdet(IU, T) for IU in mats) for T in tabs)
+
+
+def _incidence_sign(columns, row_of):
+    # det of the unit rows row_of[t], t down each column: the sign of those
+    # row indices as a permutation, 0 when one repeats
+    sign = 1
+    for column in columns:
+        used = 0
+        for t in column:
+            r = row_of[t]
+            if used >> r & 1:
+                return 0
+            if (used >> r).bit_count() & 1:
+                sign = -sign
+            used |= 1 << r
+    return sign
+
+
+@lru_cache(maxsize=32)
+def tdet_duality_columns(n, k):
+    """tdet_duality_matrix(n, k) read off the tableaux, stored by columns:
+    column q is the tuple of (p, M[p][q]) with p < q and M[p][q] != 0.
+
+    I(T_q) puts the unit row e_i at every entry of row i of T_q, so each
+    minor tdet_{T_p} takes is a permutation matrix or singular: M[p][q] is
+    the product over the columns of T_p of the sign of the row indices T_q
+    gives their entries, and 0 when a column repeats one. This is the
+    incidence of the tabloid {T_q} in the polytabloid e_{T_p} of the Specht
+    module S^(k^n), unit upper-triangular in the canonical order by the
+    standard basis theorem; solve_tdet_duality relies on that, so it is
+    checked here.
+    """
+    tabs = standard_tableaux(Partition((k,) * n))
+    columns = [[T.column(l) for l in range(1, k + 1)] for T in tabs]
+    out = []
+    for q, U in enumerate(tabs):
+        row_of = [0] * (k * n + 1)
+        for i, row in enumerate(U.rows):
+            for t in row:
+                row_of[t] = i
+        signs = [_incidence_sign(cols, row_of) for cols in columns]
+        if signs[q] != 1 or any(signs[q + 1:]):
+            raise ArithmeticError(f"duality matrix ({n},{k}) is not unit upper-triangular")
+        out.append(tuple((p, v) for p, v in enumerate(signs[:q]) if v))
+    return tuple(out)
+
+
+def solve_tdet_duality(n, k, rhs):
+    """The C with sum_p C_p M[p][q] = rhs[q] for every q, M =
+    tdet_duality_matrix(n, k): forward substitution down its columns."""
+    sol = []
+    for q, column in enumerate(tdet_duality_columns(n, k)):
+        sol.append(Fraction(rhs[q]) - sum(sol[p] * v for p, v in column))
+    return sol
 
 
 @lru_cache(maxsize=32)
@@ -199,11 +254,7 @@ def wrdet_expansion_coefficients(n, k):
     solution of sum_p C_p tdet_{T_p}(I(T_q)) = wrdet I(T_q) for all q."""
     tabs = standard_tableaux(Partition((k,) * n))
     units = tableau_unit_wrdets(n, k)
-    m = tdet_duality_matrix(n, k)
-    f = len(tabs)
-    system = [[m[p][q] for p in range(f)] for q in range(f)]
-    sol = solve_exact(system, [units[T] for T in tabs])
-    return {T: c for T, c in zip(tabs, sol)}
+    return dict(zip(tabs, solve_tdet_duality(n, k, [units[T] for T in tabs])))
 
 
 def wrdet_tableaux(A, k):
@@ -216,12 +267,30 @@ def wrdet_tableaux(A, k):
 
 
 def wrdet_symmetric(A, k, *, cap=None):
-    """wrdet by symmetrization: k^{-kn} sum_{sigma in S_k^n} tdet_{T0}(sigma . A)."""
+    """wrdet by symmetrization: k^{-kn} sum_{sigma in S_k^n} tdet_{T0}(sigma . A).
+
+    Column l of the row-reading tableau T0 holds l, k+l, ..., (n-1)k+l, so
+    tdet_{T0}(sigma . A) = prod_l det A[sigma^-1(l), sigma^-1(k+l), ...]:
+    each minor takes one row from every block. The sum runs over every
+    sigma, but each of the at most k^n distinct row tuples is one det.
+    """
     n = _check_wrdet_shape(A, k)
-    T0 = row_reading_tableau(n, k)
+    cols = list(range(n))
+    minors = {}
     total = Fraction(0)
-    for sigma in young_subgroup_elements(n, k, cap=cap):
-        total += tdet(A.perm_rows(sigma), T0)
+    for chunk in young_subgroup_tuples0(n, k, cap=cap):
+        for images in chunk:
+            inv = [0] * (k * n)
+            for i, v in enumerate(images):
+                inv[v] = i
+            term = Fraction(1)
+            for l in range(k):
+                rows = tuple(inv[l::k])
+                minor = minors.get(rows)
+                if minor is None:
+                    minor = minors[rows] = det(A.submatrix(rows, cols))
+                term = term * minor
+            total += term
     return total * Fraction(1, k ** (k * n))
 
 
@@ -397,20 +466,29 @@ def nk_sign(f):
 
 
 def wrdet_monomial(A, k, *, cap=None):
-    """wrdet by the monomial expansion sum_f sgn^(k)(f) prod_i a_{i, f(i)}."""
+    """wrdet by the monomial expansion sum_f sgn^(k)(f) prod_i a_{i, f(i)}.
+
+    A rational A is first scaled to integers row by row (row i by the lcm
+    d_i of its denominators), so each coloring's product is a plain int and
+    the sum is divided by prod d_i once.
+    """
     n = _check_wrdet_shape(A, k)
+    if A.is_rational():
+        rows, dens = _scaled_int_rows(A)
+    else:
+        rows, dens = A.rows, [1]
     total = Fraction(0)
     for f in colorings(n, k, cap=cap):
-        prod = 1
-        for i in range(k * n):
-            e = A[i, f.values[i] - 1]
+        term = 1
+        for row, v in zip(rows, f.values):
+            e = row[v - 1]
             if e == 0:
-                prod = 0
+                term = 0
                 break
-            prod = prod * e
-        if prod:
-            total += nk_sign(f) * prod
-    return total
+            term = term * e
+        if term:
+            total += nk_sign(f) * term
+    return total * Fraction(1, prod(dens))
 
 
 def orbit_data(f):

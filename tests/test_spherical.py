@@ -30,7 +30,13 @@ from wreathdet.spherical import (
     xi_report,
     xi_scan,
 )
-from wreathdet.tableaux import count_semistandard, g_of_T, mn_character, partitions
+from wreathdet.tableaux import (
+    Partition,
+    count_semistandard,
+    g_of_T,
+    mn_character,
+    partitions,
+)
 from wreathdet.verify import rand_permutation
 from wreathdet.wreath import ColoringFunction, nk_sign, row_k_plex, wrdet_direct
 
@@ -338,6 +344,46 @@ def test_phi_decomposition_small():
     rng = random.Random(11)
     for _ in range(3):
         assert phi_decomposition_check(rand_permutation(rng, 6), 3, 2)
+
+
+def decomposition_by_lambda(g, n, k):
+    """sum over lambda of |SSTab_k(lambda')| phi^lambda(g), one character
+    sum per lambda over the Young subgroup."""
+    N = k * n
+    sub = list(young_subgroup_elements(n, k))
+    ginv = g.inverse()
+    total = Fraction(0)
+    for lam in partitions(N):
+        mult = count_semistandard(lam.conjugate(), k)
+        if mult:
+            acc = sum(mn_character(lam, Partition((ginv * sigma).cycle_type()))
+                      for sigma in sub)
+            total += Fraction(mult * acc, factorial(k) ** n)
+    return total
+
+
+def test_phi_decomposition_matches_per_lambda_sum(monkeypatch):
+    # the check compares its tabulated sum with phi; substituting the
+    # per-lambda sum for phi must keep it passing, and one more must fail it
+    rng = random.Random(31)
+    sample = [rand_permutation(rng, 6) for _ in range(6)]
+    expected = {g.images: decomposition_by_lambda(g, 3, 2) for g in sample}
+    assert all(expected[g.images] == phi(g, 3, 2) for g in sample)
+    monkeypatch.setattr(spherical, "phi", lambda g, n, k: expected[g.images])
+    assert all(phi_decomposition_check(g, 3, 2) for g in sample)
+    monkeypatch.setattr(spherical, "phi", lambda g, n, k: expected[g.images] + 1)
+    assert not any(phi_decomposition_check(g, 3, 2) for g in sample)
+
+
+def test_phi_decomposition_detects_wrong_phi(monkeypatch):
+    target = Permutation([2, 3, 1, 4])
+    true_phi = spherical.phi
+    monkeypatch.setattr(
+        spherical, "phi",
+        lambda g, n, k: true_phi(g, n, k) + (g == target),
+    )
+    verdicts = {g.images: phi_decomposition_check(g, 2, 2) for g in enumerate_group(4)}
+    assert [img for img, ok in verdicts.items() if not ok] == [target.images]
 
 
 def test_classwise_weight_identity():

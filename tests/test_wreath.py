@@ -5,9 +5,15 @@ from math import factorial
 
 import pytest
 
+from wreathdet import wreath
 from wreathdet.errors import CapExceededError, ShapeError
-from wreathdet.linalg import Matrix, det
-from wreathdet.perm import Permutation, enumerate_group, young_subgroup_histogram
+from wreathdet.linalg import Matrix, det, solve_exact, symbolic_matrix
+from wreathdet.perm import (
+    Permutation,
+    enumerate_group,
+    young_subgroup_elements,
+    young_subgroup_histogram,
+)
 from wreathdet.tableaux import Partition, row_reading_tableau, standard_tableaux
 from wreathdet.verify import rand_matrix
 from wreathdet.wreath import (
@@ -22,9 +28,11 @@ from wreathdet.wreath import (
     pf_coefficient,
     pile,
     row_k_plex,
+    solve_tdet_duality,
     tableau_matrix,
     tableau_unit_wrdets,
     tdet,
+    tdet_duality_columns,
     tdet_duality_matrix,
     wrdet_direct,
     wrdet_expansion_coefficients,
@@ -150,6 +158,75 @@ def test_expansion_coefficients_correct_the_duality():
     ]
 
 
+# every (n, k) with n, k >= 2 whose Gram order is at most 42
+_SMALL_DUALITY_PAIRS = ((2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (3, 3), (2, 5), (5, 2))
+
+
+def duality_dense(n, k):
+    """tdet_duality_columns(n, k) as a full matrix, unit diagonal filled in."""
+    columns = tdet_duality_columns(n, k)
+    f = len(columns)
+    dense = [[int(p == q) for q in range(f)] for p in range(f)]
+    for q, column in enumerate(columns):
+        for p, v in column:
+            assert p < q and v in (1, -1)
+            dense[p][q] = v
+    return dense
+
+
+def check_incidence_against_determinants(n, k):
+    m = tdet_duality_matrix(n, k)
+    dense = duality_dense(n, k)
+    assert [list(row) for row in m] == dense
+    f = len(m)
+    assert all(m[p][p] == 1 for p in range(f))
+    assert all(m[p][q] == 0 for p in range(f) for q in range(p))
+
+
+@pytest.mark.parametrize("n,k", _SMALL_DUALITY_PAIRS)
+def test_duality_incidence_matches_determinants(n, k):
+    check_incidence_against_determinants(n, k)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k", ((2, 6), (6, 2)))
+def test_duality_incidence_matches_determinants_order_132(n, k):
+    # the determinant oracle takes several seconds per pair at order 132
+    check_incidence_against_determinants(n, k)
+
+
+@pytest.mark.parametrize("n,k", _SMALL_DUALITY_PAIRS)
+def test_forward_substitution_matches_solve_exact(n, k):
+    m = tdet_duality_matrix(n, k)
+    f = len(m)
+    system = [[m[p][q] for p in range(f)] for q in range(f)]
+    tabs = standard_tableaux(Partition((k,) * n))
+    units = tableau_unit_wrdets(n, k)
+    rng = random.Random(f"{n}:{k}")
+    for rhs in ([units[T] for T in tabs],
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(f)]):
+        assert solve_tdet_duality(n, k, rhs) == solve_exact(system, rhs)
+
+
+def test_duality_columns_refuse_a_non_triangular_order(monkeypatch):
+    # the forward substitution relies on the canonical order; reversed, the
+    # incidence matrix is lower-triangular and the build must say so
+    monkeypatch.setattr(
+        wreath, "standard_tableaux", lambda shape: standard_tableaux(shape)[::-1]
+    )
+    with pytest.raises(ArithmeticError):
+        tdet_duality_columns.__wrapped__(3, 2)
+
+
+def test_duality_columns_at_order_132():
+    # built without the triangularity guard firing; the off-diagonal count
+    # agrees between the conjugate shapes (2,6) and (6,2)
+    for n, k in ((2, 6), (6, 2)):
+        columns = tdet_duality_columns(n, k)
+        assert len(columns) == 132
+        assert sum(len(column) for column in columns) == 262
+
+
 def test_tdet_values():
     T0 = row_reading_tableau(3, 2)
     assert tdet(row_k_plex(Matrix.identity(3), 2), T0) == 1
@@ -166,10 +243,39 @@ def test_four_paths_small():
     rng = random.Random(17)
     for n, k in ((2, 2), (3, 2), (2, 3)):
         A = rand_matrix(rng, k * n, n)
-        d = wrdet_direct(A, k)
-        assert wrdet_tableaux(A, k) == d
-        assert wrdet_symmetric(A, k) == d
-        assert wrdet_monomial(A, k) == d
+        zero_row = Matrix([[0] * n if i == 2 else row for i, row in enumerate(A.rows)])
+        for M in (A, zero_row):
+            d = wrdet_direct(M, k)
+            assert wrdet_tableaux(M, k) == d
+            assert wrdet_symmetric(M, k) == d
+            assert wrdet_monomial(M, k) == d
+
+
+def symmetric_loop(A, k):
+    """The symmetrization route as one tdet per Young-subgroup element."""
+    n = A.ncols
+    T0 = row_reading_tableau(n, k)
+    total = Fraction(0)
+    for sigma in young_subgroup_elements(n, k):
+        total += tdet(A.perm_rows(sigma), T0)
+    return total * Fraction(1, k ** (k * n))
+
+
+def test_symmetric_route_matches_tdet_loop():
+    rng = random.Random(29)
+    for n, k in ((2, 2), (3, 2), (2, 3)):
+        A = rand_matrix(rng, k * n, n)
+        zero_row = Matrix([[0] * n if i == 1 else row for i, row in enumerate(A.rows)])
+        for M in (A, rand_matrix(rng, k * n, n), zero_row):
+            assert wrdet_symmetric(M, k) == symmetric_loop(M, k)
+    assert wrdet_symmetric(zero_row, 3) == 0
+
+
+def test_symmetric_and_monomial_routes_on_poly_entries():
+    X = symbolic_matrix(4, 2)
+    d = wrdet_direct(X, 2)
+    assert wrdet_symmetric(X, 2) == d
+    assert wrdet_monomial(X, 2) == d
 
 
 def test_gl_relative_invariance():
