@@ -309,7 +309,7 @@ def kdet(A, k, method="auto", *, cap=None):
     return adet(A, Fraction(-1, k), method, cap=cap)
 
 
-def block_adet_check(A11, A12, A22, alpha, *, cap=None):
+def block_adet_check(A11, A12, A22, alpha):
     """adet of [[A11, A12], [0, A22]] equals adet(A11) * adet(A22)?"""
     n, m = A11.nrows, A22.nrows
     if A11.ncols != n or A22.ncols != m:
@@ -317,6 +317,6 @@ def block_adet_check(A11, A12, A22, alpha, *, cap=None):
     if A12.nrows != n or A12.ncols != m:
         raise ShapeError(f"off-diagonal block must be {n}x{m}")
     assembled = Matrix.from_blocks([[A11, A12], [Matrix.zero(m, n), A22]])
-    lhs = adet_sum(assembled, alpha, cap=cap)
-    rhs = adet_sum(A11, alpha, cap=cap) * adet_sum(A22, alpha, cap=cap)
+    lhs = adet_sum(assembled, alpha)
+    rhs = adet_sum(A11, alpha) * adet_sum(A22, alpha)
     return lhs == rhs

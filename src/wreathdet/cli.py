@@ -15,9 +15,9 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
-from . import config
 from .alphadet import adet_dp, adet_laplace, adet_sum
 from .errors import CapExceededError, WreathdetError
 from .linalg import Matrix
@@ -107,13 +107,14 @@ def cmd_adet(args, report):
     if A.nrows != A.ncols:
         raise UsageError(f"adet needs a square matrix, got {A.nrows}x{A.ncols}")
     alpha = _parse_alpha(args.alpha)
+    cap = args.cap_factorial
     values = {}
     if args.method == "dp":
-        values["dp"] = adet_dp(A, alpha)
+        values["dp"] = adet_dp(A, alpha, cap=cap)
     if args.method in ("sum", "both"):
-        values["sum"] = adet_sum(A, alpha)
+        values["sum"] = adet_sum(A, alpha, cap=cap)
     if args.method in ("laplace", "both"):
-        results = {str(adet_laplace(A, alpha, q)) for q in range(1, A.nrows + 1)}
+        results = {str(adet_laplace(A, alpha, q, cap=cap)) for q in range(1, A.nrows + 1)}
         if len(results) != 1:
             report["values"]["laplace_columns"] = sorted(results)
             report["passed"] = False
@@ -145,8 +146,9 @@ def cmd_wrdet(args, report):
         raise UsageError(
             f"wrdet needs a kn x n matrix with k={k}, got {A.nrows}x{A.ncols}"
         )
-    methods = list(_WRDET_METHODS) if args.method == "all" else [args.method]
-    values = {m: _WRDET_METHODS[m](A, k) for m in methods}
+    routes = dict(_WRDET_METHODS, direct=partial(wrdet_direct, cap=args.cap_factorial))
+    methods = list(routes) if args.method == "all" else [args.method]
+    values = {m: routes[m](A, k) for m in methods}
     report["values"] = {m: str(v) for m, v in values.items()}
     report["values"]["wrdet"] = str(values[methods[0]])
     report["passed"] = len(set(values.values())) == 1
@@ -196,8 +198,11 @@ def build_parser():
     def common(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--output", metavar="PATH", default=None)
+
+    def cap_factorial(p):
         p.add_argument("--cap-factorial", type=int, default=None, metavar="N",
-                       help="override the full-enumeration degree cap")
+                       help="largest alpha-determinant degree to evaluate "
+                       "(default: config.FACTORIAL_CAP)")
 
     p = sub.add_parser("adet", help="alpha-determinant of a matrix file")
     # let bare negative fractions like -1/2 pass as values, not option names
@@ -208,6 +213,7 @@ def build_parser():
     p.add_argument("--method", choices=("dp", "sum", "laplace", "both"), default="dp",
                    help="dp: cycle-cover DP; sum, laplace: the oracles; "
                    "both: sum against laplace")
+    cap_factorial(p)
     common(p)
     p.set_defaults(fn=cmd_adet)
 
@@ -219,6 +225,7 @@ def build_parser():
         choices=("direct", "tableaux", "symmetric", "monomial", "all"),
         default="direct",
     )
+    cap_factorial(p)
     common(p)
     p.set_defaults(fn=cmd_wrdet)
 
@@ -240,9 +247,6 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    saved_cap = config.FACTORIAL_CAP
-    if args.cap_factorial is not None:
-        config.FACTORIAL_CAP = args.cap_factorial
     report = {"command": argv, "seed": None, "values": {}, "checks": []}
     start = time.perf_counter()
     try:
@@ -256,8 +260,6 @@ def main(argv=None):
     except WreathdetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        config.FACTORIAL_CAP = saved_cap
     report["wall_time_s"] = round(time.perf_counter() - start, 6)
     payload = (
         json.dumps(report, indent=2, sort_keys=True)

@@ -1,8 +1,8 @@
 """Size caps for group enumerations.
 
 All caps are explicit: exceeding one raises CapExceededError, never a silent
-truncation. Callers may pass their own cap to the enumeration functions; the
-values here are the defaults.
+truncation. Each enumeration reads its cap here when it starts; nothing in
+the library writes to this module.
 """
 
 # Full symmetric-group enumerations run over S_N with N at most this.

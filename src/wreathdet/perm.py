@@ -2,8 +2,8 @@
 
 Permutations are stored in one-line notation over 1-based labels. The
 product p * q is composition with q applied first: (p * q)(i) = p(q(i)).
-Enumeration order is always lexicographic on the one-line notation, which
-fixes a canonical rank used for range slicing and reproducible output.
+Enumeration order is always lexicographic on the one-line notation, so
+output is reproducible.
 All values are immutable.
 """
 
@@ -113,113 +113,56 @@ def cycle_count(p):
     return p.cycle_count()
 
 
-def _unrank(n, r):
-    """Permutation of rank r in lexicographic order on one-line notation."""
-    pool = list(range(1, n + 1))
-    out = []
-    for i in range(n, 0, -1):
-        q, r = divmod(r, factorial(i - 1))
-        out.append(pool.pop(q))
-    return out
-
-
-def enumerate_group(n, *, cap=None, start=0, stop=None):
-    """All n! permutations of [n] in lexicographic order.
-
-    `start`/`stop` select a rank range, so a reduction over the group can be
-    split into chunks that together cover every element exactly once.
-    """
-    cap = config.FACTORIAL_CAP if cap is None else cap
-    if n > cap:
-        raise CapExceededError("symmetric group degree", n, cap)
-    total = factorial(n)
-    stop = total if stop is None else min(stop, total)
-    if start >= stop:
-        return
-    if start == 0:
-        it = itertools.permutations(range(1, n + 1))
-        for images in itertools.islice(it, stop):
-            yield Permutation(images)
-        return
-    current = _unrank(n, start)
-    for _ in range(start, stop):
-        yield Permutation(current)
-        # lexicographic successor, in place
-        i = n - 2
-        while i >= 0 and current[i] > current[i + 1]:
-            i -= 1
-        if i < 0:
-            break
-        j = n - 1
-        while current[j] < current[i]:
-            j -= 1
-        current[i], current[j] = current[j], current[i]
-        current[i + 1 :] = reversed(current[i + 1 :])
+def enumerate_group(n):
+    """All n! permutations of [n] in lexicographic order."""
+    if n > config.FACTORIAL_CAP:
+        raise CapExceededError("symmetric group degree", n, config.FACTORIAL_CAP)
+    for images in itertools.permutations(range(1, n + 1)):
+        yield Permutation(images)
 
 
 def young_subgroup_order(n, k):
     return factorial(k) ** n
 
 
-def check_young_caps(n, k, cap):
-    cap = config.YOUNG_SUBGROUP_CAP if cap is None else cap
-    order = young_subgroup_order(n, k)
-    if order > cap:
-        raise CapExceededError(f"Young subgroup S_{k}^{n}", order, cap)
-    if k * n > config.FACTORIAL_CAP:
-        raise CapExceededError("Young subgroup ambient degree", k * n, config.FACTORIAL_CAP)
-
-
-def young_subgroup_tuples0(n, k, *, cap=None, chunk_size=65536):
-    """S_k^n as 0-based image tuples in S_{kn}, yielded in chunks.
+def young_subgroup_tuples0(n, k):
+    """S_k^n as 0-based image tuples in S_{kn}, lexicographic order.
 
     Block i is {(i-1)k+1, ..., ik}; every element permutes each block within
-    itself. Chunking keeps memory flat for large (k!)^n and gives natural
-    units for parallel, order-independent reduction.
+    itself.
     """
-    check_young_caps(n, k, cap)
+    order = young_subgroup_order(n, k)
+    if order > config.YOUNG_SUBGROUP_CAP:
+        raise CapExceededError(f"Young subgroup S_{k}^{n}", order, config.YOUNG_SUBGROUP_CAP)
     base = list(itertools.permutations(range(k)))
-    buf = []
     for combo in itertools.product(base, repeat=n):
-        images = [0] * (k * n)
-        for b, sig in enumerate(combo):
-            off = b * k
-            for j in range(k):
-                images[off + j] = off + sig[j]
-        buf.append(tuple(images))
-        if len(buf) >= chunk_size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
+        yield tuple(b * k + j for b, sig in enumerate(combo) for j in sig)
 
 
 @lru_cache(maxsize=8)
 def _young_tuples_cached(n, k):
-    return tuple(t for chunk in young_subgroup_tuples0(n, k) for t in chunk)
+    return tuple(young_subgroup_tuples0(n, k))
 
 
-def young_subgroup_elements(n, k, *, cap=None):
+def young_subgroup_elements(n, k):
     """The (k!)^n elements of S_k^n inside S_{kn}, lexicographic order."""
-    check_young_caps(n, k, cap)
-    for chunk in young_subgroup_tuples0(n, k, cap=cap):
-        for images in chunk:
-            yield Permutation.from_zero_based(images)
+    for images in young_subgroup_tuples0(n, k):
+        yield Permutation.from_zero_based(images)
 
 
-def young_subgroup_histogram(left0, n, k, *, cap=None):
+def young_subgroup_histogram(left0, n, k):
     """Cycle-count histogram of left o sigma over sigma in S_k^n.
 
     `left0` is a fixed 0-based image tuple of degree kn. Small subgroups are
-    materialized once and cached; large ones are streamed in chunks.
+    materialized once and cached; large ones are streamed in batches.
     """
-    check_young_caps(n, k, cap)
     N = k * n
     if young_subgroup_order(n, k) <= 200_000:
         return _kernels.nu_histogram_compose(left0, _young_tuples_cached(n, k), N)
     counts = [0] * (N + 1)
-    for chunk in young_subgroup_tuples0(n, k, cap=cap):
-        part = _kernels.nu_histogram_compose(left0, chunk, N)
+    stream = young_subgroup_tuples0(n, k)
+    while batch := list(itertools.islice(stream, 65536)):
+        part = _kernels.nu_histogram_compose(left0, batch, N)
         counts = [a + b for a, b in zip(counts, part)]
     return counts
 
@@ -268,7 +211,7 @@ def support_subgroup_elements(I, n):
     return [Permutation.from_zero_based(t) for t in support_subgroup_tuples0(I, n)]
 
 
-def shifted_cycle_sum(g, I, alpha, *, cap=None):
+def shifted_cycle_sum(g, I, alpha):
     """(sum over w in S_n(I) of alpha^(n - nu(g w)), m) with the exponent m.
 
     The sum always factors as alpha^m * prod_{1 <= i < |I|} (1 + i*alpha)
@@ -277,9 +220,8 @@ def shifted_cycle_sum(g, I, alpha, *, cap=None):
     """
     n = g.degree
     members = sorted(set(I))
-    cap = config.FACTORIAL_CAP if cap is None else cap
-    if len(members) > cap:
-        raise CapExceededError("support size", len(members), cap)
+    if len(members) > config.FACTORIAL_CAP:
+        raise CapExceededError("support size", len(members), config.FACTORIAL_CAP)
     sigmas = support_subgroup_tuples0(members, n)
     counts = _kernels.nu_histogram_compose(g.zero_based(), sigmas, n)
     value = 0

@@ -76,7 +76,7 @@ def phi(g, n, k):
 
 def phi_young_sum(g, n, k):
     """Oracle: phi_{n,k}(g) as the defining sum over the (k!)^n elements of
-    S_k^n; raises CapExceededError past the Young-subgroup caps."""
+    S_k^n; raises CapExceededError past the Young-subgroup cap."""
     if g.degree != k * n:
         raise ShapeError(f"permutation degree {g.degree} != kn = {k * n}")
     counts = young_subgroup_histogram(g.inverse().zero_based(), n, k)
@@ -242,12 +242,11 @@ def phi_matrix_element_check(g, n, k):
         return False
     projected = Poly.const(0)
     count = 0
-    for chunk in young_subgroup_tuples0(n, k):
-        for images0 in chunk:
-            sigma_map = {i + 1: images0[i] + 1 for i in range(k * n)}
-            varmap = {v: (v[0], sigma_map[v[1]], v[2]) for v in gW.variables()}
-            projected = projected + gW.relabel(varmap)
-            count += 1
+    for images0 in young_subgroup_tuples0(n, k):
+        sigma_map = {i + 1: images0[i] + 1 for i in range(k * n)}
+        varmap = {v: (v[0], sigma_map[v[1]], v[2]) for v in gW.variables()}
+        projected = projected + gW.relabel(varmap)
+        count += 1
     return projected == (value * count) * W
 
 
@@ -292,10 +291,9 @@ def phi_decomposition_check(g, n, k):
     N = k * n
     ginv0 = g.inverse().zero_based()
     type_hist = {}
-    for chunk in young_subgroup_tuples0(n, k):
-        for sig in chunk:
-            t = _cycle_type0(tuple(ginv0[sig[i]] for i in range(N)))
-            type_hist[t] = type_hist.get(t, 0) + 1
+    for sig in young_subgroup_tuples0(n, k):
+        t = _cycle_type0(tuple(ginv0[sig[i]] for i in range(N)))
+        type_hist[t] = type_hist.get(t, 0) + 1
     table = _spherical_class_table(N, k)
     total = sum(cnt * table[t] for t, cnt in type_hist.items())
     return Fraction(total, factorial(k) ** n) == phi(g, n, k)

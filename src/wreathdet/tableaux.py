@@ -73,18 +73,6 @@ class Partition:
         leg = sum(1 for p in self.parts[i:] if p >= j)
         return arm + leg + 1
 
-    def dominates(self, other):
-        """Dominance order: self >= other (same size)."""
-        if self.size != other.size:
-            return False
-        a = b = 0
-        for i in range(max(len(self), len(other))):
-            a += self.parts[i] if i < len(self) else 0
-            b += other.parts[i] if i < len(other) else 0
-            if a < b:
-                return False
-        return True
-
     def padded(self, length):
         if length < len(self.parts):
             raise ValueError("padding shorter than the partition")
@@ -153,12 +141,11 @@ class StandardTableau:
         return f"StandardTableau{self.rows}"
 
 
-def standard_tableaux(shape, *, cap=None):
+def standard_tableaux(shape):
     """All standard tableaux of the given shape, row-word lexicographic."""
-    cap = config.TABLEAU_CELL_CAP if cap is None else cap
     n = shape.size
-    if n > cap:
-        raise CapExceededError("tableau size", n, cap)
+    if n > config.TABLEAU_CELL_CAP:
+        raise CapExceededError("tableau size", n, config.TABLEAU_CELL_CAP)
     if n == 0:
         return [StandardTableau(())]
     ncols = shape.parts[0] if shape.parts else 0

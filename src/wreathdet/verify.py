@@ -48,6 +48,7 @@ from .symfun import (
     cauchy_check,
     d_nk,
     delta_shift,
+    diff_product,
     elementary_direct,
     complete_direct,
     h_series_check,
@@ -713,21 +714,13 @@ def _chk_vdm_notice(rng):
         if d_nk(xs, delta_shift(n, k), k) != wreath_vandermonde(xs, n, k):
             return False, f"({n},{k})"
     xs = sample_distinct_fractions(rng, 3)
-    if wreath_vandermonde(xs, 3, 1) != diff_product_oracle(xs):
+    if wreath_vandermonde(xs, 3, 1) != diff_product(xs):
         return False, "k=1 Vandermonde"
     for k in (2, 3):
         xs = sample_distinct_fractions(rng, k)
         if wreath_vandermonde(xs, 1, k) != Fraction(factorial(k), k**k):
             return False, f"n=1, k={k}"
     return True
-
-
-def diff_product_oracle(xs):
-    out = Fraction(1)
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            out *= Fraction(xs[i]) - Fraction(xs[j])
-    return out
 
 
 def _chk_specht_expansion(rng):
@@ -875,17 +868,12 @@ _XI_DETS = {
 
 def _chk_xi_determinants(rng):
     for (n, k), expect in _XI_DETS.items():
-        minors = leading_minors_of_xi(n, k)
+        _, minors = xi_positive_definite(n, k)
         if minors[-1] != expect:
             return False, f"det Xi_({n},{k})"
         if any(m <= 0 for m in minors):
             return False, f"minors ({n},{k})"
     return True
-
-
-def leading_minors_of_xi(n, k):
-    ok, minors = xi_positive_definite(n, k)
-    return minors
 
 
 def _chk_xi_edge(rng):

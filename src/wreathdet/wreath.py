@@ -266,7 +266,7 @@ def wrdet_tableaux(A, k):
     return total
 
 
-def wrdet_symmetric(A, k, *, cap=None):
+def wrdet_symmetric(A, k):
     """wrdet by symmetrization: k^{-kn} sum_{sigma in S_k^n} tdet_{T0}(sigma . A).
 
     Column l of the row-reading tableau T0 holds l, k+l, ..., (n-1)k+l, so
@@ -278,28 +278,26 @@ def wrdet_symmetric(A, k, *, cap=None):
     cols = list(range(n))
     minors = {}
     total = Fraction(0)
-    for chunk in young_subgroup_tuples0(n, k, cap=cap):
-        for images in chunk:
-            inv = [0] * (k * n)
-            for i, v in enumerate(images):
-                inv[v] = i
-            term = Fraction(1)
-            for l in range(k):
-                rows = tuple(inv[l::k])
-                minor = minors.get(rows)
-                if minor is None:
-                    minor = minors[rows] = det(A.submatrix(rows, cols))
-                term = term * minor
-            total += term
+    for images in young_subgroup_tuples0(n, k):
+        inv = [0] * (k * n)
+        for i, v in enumerate(images):
+            inv[v] = i
+        term = Fraction(1)
+        for l in range(k):
+            rows = tuple(inv[l::k])
+            minor = minors.get(rows)
+            if minor is None:
+                minor = minors[rows] = det(A.submatrix(rows, cols))
+            term = term * minor
+        total += term
     return total * Fraction(1, k ** (k * n))
 
 
-def colorings(n, k, *, cap=None):
+def colorings(n, k):
     """All f: [kn] -> [n] with every fiber of size k, lexicographic order."""
-    cap = config.YOUNG_SUBGROUP_CAP if cap is None else cap
     count = factorial(k * n) // factorial(k) ** n
-    if count > cap:
-        raise CapExceededError("coloring family", count, cap)
+    if count > config.YOUNG_SUBGROUP_CAP:
+        raise CapExceededError("coloring family", count, config.YOUNG_SUBGROUP_CAP)
     word = [v for v in range(1, n + 1) for _ in range(k)]
     for values in _multiset_permutations(word):
         yield ColoringFunction(values, n, k)
@@ -333,12 +331,9 @@ class ColoringFunction:
 
     def __init__(self, values, n, k):
         values = tuple(values)
-        if len(values) != k * n:
-            raise ShapeError(f"need {k * n} values, got {len(values)}")
-        for j in range(1, n + 1):
-            fiber = sum(1 for v in values if v == j)
-            if fiber != k:
-                raise ShapeError(f"fiber of {j} has size {fiber}, expected {k}")
+        # kn values with each of 1..n k times leave room for no other value
+        if len(values) != k * n or any(values.count(j) != k for j in range(1, n + 1)):
+            raise ShapeError(f"{values} is not a map [{k * n}] -> [{n}] with fibers of size {k}")
         self.values = values
         self.n = n
         self.k = k
@@ -465,7 +460,7 @@ def nk_sign(f):
     return _nk_sign_cached(f.canonical_values(), f.n, f.k)
 
 
-def wrdet_monomial(A, k, *, cap=None):
+def wrdet_monomial(A, k):
     """wrdet by the monomial expansion sum_f sgn^(k)(f) prod_i a_{i, f(i)}.
 
     A rational A is first scaled to integers row by row (row i by the lcm
@@ -478,7 +473,7 @@ def wrdet_monomial(A, k, *, cap=None):
     else:
         rows, dens = A.rows, [1]
     total = Fraction(0)
-    for f in colorings(n, k, cap=cap):
+    for f in colorings(n, k):
         term = 1
         for row, v in zip(rows, f.values):
             e = row[v - 1]
@@ -518,14 +513,14 @@ def orbit_data(f):
     return orbit_size, intersection, base_sign
 
 
-def det_power_identity_check(f, A, *, cap=None):
+def det_power_identity_check(f, A):
     """sgn^(k)(f) det(A)^k == sum_h sgn^(k)(h) prod_i a_{f(i), h(i)}?"""
     n, k = f.n, f.k
     if A.nrows != n or A.ncols != n:
         raise ShapeError(f"matrix must be {n}x{n}")
     lhs = nk_sign(f) * det(A) ** k
     rhs = Fraction(0)
-    for h in colorings(n, k, cap=cap):
+    for h in colorings(n, k):
         prod = Fraction(1)
         for i in range(k * n):
             prod *= A[f.values[i] - 1, h.values[i] - 1]
@@ -595,12 +590,11 @@ class WreathGroupElement:
         return f"WreathGroupElement({self.block_perms}, {self.outer})"
 
 
-def wreath_group_elements(n, k, *, cap=None):
+def wreath_group_elements(n, k):
     """All (k!)^n n! elements of S_k wr S_n."""
-    cap = config.YOUNG_SUBGROUP_CAP if cap is None else cap
     order = young_subgroup_order(n, k) * factorial(n)
-    if order > cap:
-        raise CapExceededError("wreath product", order, cap)
+    if order > config.YOUNG_SUBGROUP_CAP:
+        raise CapExceededError("wreath product", order, config.YOUNG_SUBGROUP_CAP)
     blocks = [list(itertools.permutations(range(1, k + 1))) for _ in range(n)]
     for combo in itertools.product(*blocks):
         sigmas = tuple(Permutation(c) for c in combo)

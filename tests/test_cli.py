@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from wreathdet import config
 from wreathdet.cli import EXIT_CAP, EXIT_FAIL, EXIT_OK, EXIT_USAGE, load_matrix, main
 from wreathdet.linalg import Matrix
 
@@ -103,10 +106,30 @@ def test_wrdet_shape_usage_error(tmp_path, capsys):
 
 
 def test_cap_exit_code(tmp_path, capsys):
+    before = dict(vars(config))
     rows = [[1] * 4 for _ in range(8)]
     p = write_json_matrix(tmp_path / "m.json", rows)
     code, _, err = run(capsys, "wrdet", p, "-k", "2", "--cap-factorial", "6")
     assert code == EXIT_CAP and "cap exceeded" in err
+    # --cap-factorial bounds the degree of every adet route, passed down as cap=
+    p = write_json_matrix(tmp_path / "m7.json", [[i + j for j in range(7)] for i in range(7)])
+    for method in ("dp", "sum", "laplace", "both"):
+        code, out, err = run(capsys, "adet", p, "--method", method, "--cap-factorial", "6")
+        assert code == EXIT_CAP and "adet degree has size 7" in err and not out
+    code, _, _ = run(capsys, "adet", p, "--method", "laplace", "--cap-factorial", "7")
+    assert code == EXIT_OK
+    assert dict(vars(config)) == before
+
+
+def test_cap_factorial_only_on_adet_and_wrdet(capsys):
+    for argv in (
+        ("verify", "alphadet", "--cap-factorial", "6"),
+        ("xi-scan", "--max-kn", "4", "--cap-factorial", "6"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --cap-factorial 6" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -78,20 +78,9 @@ def test_enumerate_group_counts_and_order():
     assert len(set(enumerate_group(4))) == 24
 
 
-def test_enumerate_group_rank_slicing():
-    full = [p.images for p in enumerate_group(5)]
-    chunks = []
-    for lo in range(0, 120, 17):
-        chunks.extend(
-            p.images for p in enumerate_group(5, start=lo, stop=min(120, lo + 17))
-        )
-    assert chunks == full
-
-
 def test_enumerate_group_cap():
     with pytest.raises(CapExceededError):
         next(enumerate_group(13))
-    assert len(list(enumerate_group(3, cap=3))) == 6
 
 
 def test_young_subgroup_counts():
@@ -111,8 +100,11 @@ def test_young_subgroup_blocks_fixed():
 
 
 def test_young_subgroup_cap():
+    # 11! > 10^7 elements; the order alone bounds the enumeration, so an
+    # ambient degree past the factorial cap (kn = 14) is no error
     with pytest.raises(CapExceededError):
-        list(young_subgroup_elements(3, 3, cap=100))
+        next(young_subgroup_elements(1, 11))
+    assert len(list(young_subgroup_elements(7, 2))) == 128
 
 
 def test_psi_embed_example():

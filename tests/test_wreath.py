@@ -94,6 +94,14 @@ def test_wrdet_direct_matches_brute():
         assert wrdet_direct(A, k) == brute_wrdet(A, k)
 
 
+def test_symmetric_route_past_the_factorial_degree():
+    # kn = 14 exceeds FACTORIAL_CAP, but S_2^7 has only 128 elements, and the
+    # Young-subgroup order is the one cap this enumeration answers to
+    rng = random.Random(14)
+    A = rand_matrix(rng, 7, 7)
+    assert wrdet_symmetric(row_k_plex(A, 2), 2) == Fraction(1, 2**7) * det(A) ** 2
+
+
 def test_wrdet_shape_and_cap():
     with pytest.raises(ShapeError):
         wrdet_direct(Matrix.ones(4, 3), 2)
@@ -327,8 +335,17 @@ def test_pile_two_blocks():
 
 
 def test_coloring_validation_and_views():
-    with pytest.raises(ShapeError):
-        ColoringFunction((1, 1, 1, 2), 2, 2)
+    for values in (
+        (1, 1, 1, 2),  # fibers of sizes 3 and 1
+        (1, 1, 2, 3),  # 3 is outside 1..n
+        (0, 1, 2, 2),  # so is 0
+        ("a", 1, 1, 2),  # not even comparable with 1..n
+        (1, 1, 2),  # wrong length
+        (1, 1, 2, 2, 2),
+    ):
+        with pytest.raises(ShapeError):
+            ColoringFunction(values, 2, 2)
+    assert ColoringFunction((2, 1, 1, 2), 2, 2).values == (2, 1, 1, 2)
     f = ColoringFunction.iota(3, 2)
     assert f.values == (1, 1, 2, 2, 3, 3)
     assert f.matrix_view() == ((1, 1), (2, 2), (3, 3))
