@@ -140,6 +140,11 @@ _WRDET_METHODS = {
 
 
 def cmd_wrdet(args, report):
+    if args.cap_factorial is not None and args.method not in ("direct", "all"):
+        raise UsageError(
+            f"--cap-factorial bounds only the direct route's kdet; "
+            f"the {args.method} route takes no cap (use --method direct or all)"
+        )
     A = load_matrix(args.matrix)
     k = args.k
     if k < 1 or A.ncols == 0 or A.nrows != k * A.ncols:
@@ -180,8 +185,8 @@ def cmd_xi_scan(args, report):
     report["passed"] = not bad
     for p in bad:
         print(
-            f"POSITIVITY CONJECTURE VIOLATED at (n={p['n']}, k={p['k']}): "
-            f"det = {p['det']}",
+            f"internal bug: Xi not positive definite at (n={p['n']}, k={p['k']}), "
+            f"det = {p['det']}; every seminormal norm is positive",
             file=sys.stderr,
         )
     return EXIT_FAIL if bad else EXIT_OK

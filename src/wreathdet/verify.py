@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .spherical import (
     phi_young_sum,
     transport_matrix,
     xi_matrix,
+    xi_pivots,
     xi_positive_definite,
 )
 from .symfun import (
@@ -873,6 +875,8 @@ def _chk_xi_determinants(rng):
             return False, f"det Xi_({n},{k})"
         if any(m <= 0 for m in minors):
             return False, f"minors ({n},{k})"
+        if list(itertools.accumulate(xi_pivots(n, k), operator.mul)) != minors:
+            return False, f"seminormal norms ({n},{k})"
     return True
 
 

@@ -121,6 +121,25 @@ def test_cap_exit_code(tmp_path, capsys):
     assert dict(vars(config)) == before
 
 
+def test_wrdet_cap_factorial_only_with_the_direct_route(tmp_path, capsys):
+    p = write_json_matrix(tmp_path / "m.json", [[i + j for j in range(3)] for i in range(6)])
+    for method in ("tableaux", "symmetric", "monomial"):
+        code, out, err = run(capsys, "wrdet", p, "-k", "2", "--method", method,
+                             "--cap-factorial", "1")
+        assert code == EXIT_USAGE and not out
+        assert "--cap-factorial" in err and f"the {method} route" in err
+        code, _, _ = run(capsys, "wrdet", p, "-k", "2", "--method", method)
+        assert code == EXIT_OK
+    # direct and all pass the flag on to wrdet_direct, whose kdet has degree 6
+    for method in ("direct", "all"):
+        code, _, err = run(capsys, "wrdet", p, "-k", "2", "--method", method,
+                           "--cap-factorial", "5")
+        assert code == EXIT_CAP and "cap exceeded" in err
+        code, out, _ = run(capsys, "wrdet", p, "-k", "2", "--method", method,
+                           "--cap-factorial", "6", "--format", "json")
+        assert code == EXIT_OK and json.loads(out)["passed"] is True
+
+
 def test_cap_factorial_only_on_adet_and_wrdet(capsys):
     for argv in (
         ("verify", "alphadet", "--cap-factorial", "6"),
@@ -187,6 +206,21 @@ def test_xi_scan_text_lines(capsys):
     code, out, _ = run(capsys, "xi-scan", "--max-kn", "4")
     assert code == EXIT_OK
     assert "(n=2, k=2) order=2 det=3/4 positive_definite=True" in out
+
+
+def test_xi_scan_non_positive_definite_is_an_internal_bug(capsys, monkeypatch):
+    import wreathdet.cli as cli_mod
+
+    monkeypatch.setattr(
+        cli_mod,
+        "xi_scan",
+        lambda max_kn: [{"n": 2, "k": 2, "order": 2, "det": "-1",
+                         "leading_minors": ["1", "-1"], "positive_definite": False}],
+    )
+    code, out, err = run(capsys, "xi-scan", "--max-kn", "4", "--format", "json")
+    assert code == EXIT_FAIL
+    assert json.loads(out)["passed"] is False
+    assert "internal bug" in err and "(n=2, k=2)" in err and "CONJECTURE" not in err
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -3,14 +3,16 @@ import json
 import logging
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, prod
+from operator import mul
 
 import pytest
 
 from wreathdet import alphadet, perm, spherical, wreath
 from wreathdet.alphadet import kdet
 from wreathdet.errors import CapExceededError, ShapeError
-from wreathdet.linalg import Matrix
+from wreathdet.linalg import Matrix, leading_principal_minors
 from wreathdet.perm import (
     Permutation,
     enumerate_group,
@@ -26,6 +28,7 @@ from wreathdet.spherical import (
     wrdet_symbolic,
     xi_det,
     xi_matrix,
+    xi_pivots,
     xi_positive_definite,
     xi_report,
     xi_scan,
@@ -36,6 +39,7 @@ from wreathdet.tableaux import (
     g_of_T,
     mn_character,
     partitions,
+    standard_tableaux,
 )
 from wreathdet.verify import rand_permutation
 from wreathdet.wreath import ColoringFunction, nk_sign, row_k_plex, wrdet_direct
@@ -317,12 +321,98 @@ def test_xi_scan_logs_one_record_per_pair(caplog):
         assert all(t >= 0 for t in rec.args[3:])
 
 
+SCAN_12_PAIRS = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2),
+                 (2, 6), (6, 2))
+
+
 def test_xi_scan_12_regression():
     # sha256 of the scan's JSON, (3,4) and (4,3) skipped by the order cap
-    doc = json.dumps(xi_scan(12), sort_keys=True)
+    scan = xi_scan(12)
+    assert sorted((p["n"], p["k"]) for p in scan if not p.get("skipped")) == sorted(
+        SCAN_12_PAIRS
+    )
+    doc = json.dumps(scan, sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "938296b30161d8b1d2693095d1bab5de22003a36630c4be9acfe5c03a556d55b"
     )
+
+
+@pytest.mark.parametrize("n,k", SCAN_12_PAIRS)
+def test_xi_pivots_are_ratios_of_elimination_minors(n, k):
+    minors = leading_principal_minors(xi_matrix(n, k).gram)
+    ratios = [minors[0]] + [b / a for a, b in zip(minors, minors[1:])]
+    assert xi_pivots(n, k) == ratios
+
+
+def content_gaps(T):
+    """c(b) - c(a) for each pair a < b with a in a lower row than b, read off
+    the tableau's cells (c = column - row)."""
+    cells = sorted((v, r, j - r) for r, row in enumerate(T.rows) for j, v in enumerate(row))
+    return [cb - ca for a, ra, ca in cells for b, rb, cb in cells if a < b and ra > rb]
+
+
+def strip_primes(x, bound):
+    """x with every prime factor <= bound divided out."""
+    for p in range(2, bound + 1):
+        if all(p % q for q in range(2, p)):
+            while x % p**64 == 0:
+                x //= p**64
+            while x % p == 0:
+                x //= p
+    return x
+
+
+def test_seminormal_factors_bound_and_det_primes():
+    # every pair with n, k >= 2 and kn <= 15, up to order 6,006 at (3,5)
+    pairs = [(n, kn // n) for kn in range(4, 16) for n in range(2, kn // 2 + 1)
+             if kn % n == 0]
+    assert len(pairs) == 16
+    for n, k in pairs:
+        tabs = standard_tableaux(Partition((k,) * n))
+        pivots = xi_pivots(n, k)
+        assert len(pivots) == len(tabs)
+        seen = set()
+        for T, d in zip(tabs, pivots):
+            gaps = content_gaps(T)
+            seen.update(gaps)
+            assert d == Fraction(prod(g * g - 1 for g in gaps), prod(g * g for g in gaps))
+        # each factor 1 - 1/gap^2 depends on its gap alone
+        assert all(Fraction(3, 4) <= 1 - Fraction(1, g * g) < 1 for g in seen)
+        det = Fraction(1)
+        for d in pivots:
+            det *= d
+        assert strip_primes(det.numerator, n + k) == 1
+        assert strip_primes(det.denominator, n + k) == 1
+
+
+def test_xi_report_builds_once_and_skips_elimination(monkeypatch):
+    built = []
+    real = spherical.xi_matrix
+
+    def counting(n, k, **kwargs):
+        built.append((n, k))
+        return real(n, k, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("xi_report reached the elimination oracle")
+
+    monkeypatch.setattr(spherical, "xi_matrix", counting)
+    monkeypatch.setattr(spherical, "leading_principal_minors", forbidden)
+    for n, k in ((2, 2), (3, 2), (2, 4), (3, 3)):
+        rep = xi_report(n, k)
+        assert built == [(n, k)]
+        assert rep["order"] == len(rep["leading_minors"])
+        built.clear()
+    assert [(p["n"], p["k"]) for p in xi_scan(6)] == [(2, 2), (2, 3), (3, 2)]
+    assert built == [(2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k", ((7, 2), (2, 7), (4, 3), (3, 4)))
+def test_xi_pivots_match_elimination_order_429_462(n, k):
+    # exact elimination takes 25-60 s per pair at these orders
+    minors = leading_principal_minors(xi_matrix(n, k, order_cap=462).gram)
+    assert list(accumulate(xi_pivots(n, k), mul)) == minors
 
 
 def test_wrdet_symbolic_monomial_count():
